@@ -17,7 +17,8 @@
 //! * `top-blockers` — the blocker→blocked edges that cost the most
 //!   blocked time, with priority-inversion time broken out.
 //! * `txn <id>` — the full event timeline of one transaction (`T7` or
-//!   bare `7`).
+//!   bare `7`) and its blocked ticks under the shared
+//!   `monitor::EpisodeTracker` rule.
 //! * `contention --by-object` — blocked time attributed per object and
 //!   priority band.
 //! * `misses` — one explanation line per missed deadline, via
@@ -32,7 +33,7 @@ use std::process::ExitCode;
 
 use monitor::profile::BAND_NAMES;
 use monitor::{
-    explain_misses, read_jsonl, ContentionProfiler, MetricsSink, SimEvent, SimEventKind,
+    explain_misses, read_jsonl, ContentionProfiler, EpisodeTracker, MetricsSink, SimEvent,
     EVENT_KIND_COUNT,
 };
 use rtdb::TxnId;
@@ -228,7 +229,7 @@ fn txn_timeline(events: &[(SimTime, SimEvent)], id: &str) -> Result<(), String> 
         .map_err(|_| format!("transaction id must be T<n> or <n>, got {id:?}"))?;
     let txn = TxnId(n);
     let mut shown = 0u64;
-    let mut blocked_since: Option<SimTime> = None;
+    let mut episodes = EpisodeTracker::new();
     let mut blocked_ticks = 0u64;
     for &(at, ev) in events {
         if ev.kind.txn() != Some(txn) {
@@ -236,19 +237,8 @@ fn txn_timeline(events: &[(SimTime, SimEvent)], id: &str) -> Result<(), String> 
         }
         shown += 1;
         out!("{:>12} {} {}", at.ticks(), ev.site, ev.kind);
-        match ev.kind {
-            SimEventKind::LockBlocked { .. } | SimEventKind::CeilingBlocked { .. } => {
-                blocked_since.get_or_insert(at);
-            }
-            SimEventKind::LockGranted { .. }
-            | SimEventKind::LockUpgraded { .. }
-            | SimEventKind::TxnAborted { .. } => {
-                if let Some(since) = blocked_since.take() {
-                    blocked_ticks =
-                        blocked_ticks.saturating_add(at.saturating_since(since).ticks());
-                }
-            }
-            _ => {}
+        if let Some(ep) = episodes.observe(at, &ev.kind) {
+            blocked_ticks = blocked_ticks.saturating_add(ep.ticks());
         }
     }
     if shown == 0 {

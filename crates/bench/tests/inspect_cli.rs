@@ -8,7 +8,7 @@ use std::path::PathBuf;
 use std::process::{Command, Output};
 
 use monitor::{JsonlSink, SimEvent, SimEventKind};
-use rtdb::{SiteId, TxnId};
+use rtdb::{LockMode, ObjectId, SiteId, TxnId};
 use starlite::{EventSink, Priority, SimTime};
 
 const BIN: &str = env!("CARGO_BIN_EXE_rtlock-inspect");
@@ -150,6 +150,49 @@ fn valid_trace_still_succeeds() {
             "{args:?} on a valid trace failed\nstderr: {stderr}"
         );
     }
+    let _ = fs::remove_file(&path);
+}
+
+#[test]
+fn txn_counts_latch_waits_as_blocked() {
+    let mut sink = JsonlSink::new(Vec::new());
+    let (site, txn) = (SiteId(0), TxnId(1));
+    let (lo, hi) = (ObjectId(4), ObjectId(9));
+    for (at, kind) in [
+        (
+            10,
+            SimEventKind::RangeLatchBlocked {
+                txn,
+                lo,
+                hi,
+                blocker: Some(TxnId(2)),
+            },
+        ),
+        (
+            35,
+            SimEventKind::RangeLatchAcquired {
+                txn,
+                lo,
+                hi,
+                mode: LockMode::Read,
+            },
+        ),
+        (40, SimEventKind::TxnCommitted { txn }),
+    ] {
+        sink.emit(SimTime::from_ticks(at), SimEvent { site, kind });
+    }
+    let path = scratch("latch", &sink.finish().expect("encode latch trace"));
+    let out = run(&["txn", "T1"], path.to_str().unwrap());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        stdout.contains("T1: 3 events, 25 ticks blocked"),
+        "latch wait must count as blocked time:\n{stdout}"
+    );
     let _ = fs::remove_file(&path);
 }
 

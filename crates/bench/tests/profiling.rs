@@ -1,11 +1,10 @@
 //! Accounting closure of the profiling sinks.
 //!
 //! The contention profiler, the windowed-telemetry sink and the metrics
-//! sink all consume the same event stream under the same blocking-episode
-//! rules (open at the first `LockBlocked`/`CeilingBlocked`, close at
-//! `LockGranted`/`LockUpgraded`/`TxnAborted`, drop still-open episodes).
-//! These tests run real simulations — proptest-driven single-site sweeps
-//! plus fixed-seed distributed and faulted configurations — buffer the
+//! sink all consume the same event stream under the one blocking-episode
+//! rule of `monitor::EpisodeTracker`. These tests run real simulations —
+//! proptest-driven single-site sweeps, a latch-scan reader run, and
+//! fixed-seed distributed and faulted configurations — buffer the
 //! stream once, replay it into every sink, and assert the totals close
 //! *exactly*: window sums equal run aggregates, per-object and per-band
 //! blocked time sums equal the blocking histogram total, and the JSONL
@@ -13,7 +12,8 @@
 
 use monitor::jsonl::to_jsonl;
 use monitor::{
-    read_jsonl, ContentionProfiler, MetricsSink, SimEvent, SimEventKind, TimeSeriesSink,
+    explain_misses, read_jsonl, ContentionProfiler, MetricsSink, SimEvent, SimEventKind,
+    TimeSeriesSink,
 };
 use netsim::{CrashWindow, FaultPlan, LinkFaults};
 use proptest::prelude::*;
@@ -156,6 +156,51 @@ proptest! {
         let (events, run) = run_buffered(&spec);
         prop_assert!(!events.is_empty());
         assert_closure(&events, &run, window_ticks);
+    }
+}
+
+/// Range-latch waits are blocking episodes for every consumer: the
+/// windowed telemetry closes on the aggregate, and no miss of a
+/// transaction that waited on a latch is explained as "never blocked".
+#[test]
+fn latch_scan_runs_close_exactly() {
+    let spec = RunSpec {
+        label: "closure/latch/size=8".into(),
+        seed: 0,
+        sim: SimSpec::SingleSite(SingleSiteSpec {
+            read_only_fraction: 0.5,
+            scan_readers: true,
+            db_size: 50,
+            mvcc: Some(rtlock::MvccConfig::latch_scan(4)),
+            ..SingleSiteSpec::figure(ProtocolKind::PriorityCeiling, 8, 150)
+        }),
+    };
+    let (events, run) = run_buffered(&spec);
+    assert_closure(&events, &run, 100_000);
+
+    let mut metrics = MetricsSink::new();
+    replay(&events, &mut metrics);
+    assert_eq!(metrics.blocking().count(), 109);
+    assert_eq!(metrics.blocking().total(), 2_138_147);
+
+    let latch_waiters: Vec<String> = events
+        .iter()
+        .filter_map(|(_, ev)| match ev.kind {
+            SimEventKind::RangeLatchBlocked { txn, .. } => Some(format!("{txn} ")),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        !latch_waiters.is_empty(),
+        "the run must produce latch waits"
+    );
+    let lines = explain_misses(&events);
+    assert!(!lines.is_empty(), "the run must miss deadlines");
+    for line in &lines {
+        assert!(
+            !(line.ends_with("never blocked") && latch_waiters.iter().any(|t| line.starts_with(t))),
+            "a latch waiter was explained as never blocked: {line}"
+        );
     }
 }
 

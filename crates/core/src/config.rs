@@ -180,9 +180,6 @@ pub struct SingleSiteConfig {
     /// Whether deadlock victims restart (until their deadline) or abort
     /// outright.
     pub restart_victims: bool,
-    /// Windowed timeline collection: commits and misses per window of
-    /// this length (`None` disables; see `monitor::Timeline`).
-    pub timeline_window: Option<SimDuration>,
     /// Locking granularity: objects per lock granule (the paper's
     /// "database … with user defined … granularity"). 1 locks individual
     /// objects; larger values lock blocks of consecutive objects,
@@ -216,7 +213,6 @@ impl Default for SingleSiteConfigBuilder {
                 io_parallelism: None,
                 victim_policy: VictimPolicy::LowestPriority,
                 restart_victims: true,
-                timeline_window: None,
                 lock_granularity: 1,
                 mvcc: None,
             },
@@ -263,17 +259,6 @@ impl SingleSiteConfigBuilder {
     /// Sets whether deadlock victims restart or abort outright.
     pub fn restart_victims(mut self, restart: bool) -> Self {
         self.config.restart_victims = restart;
-        self
-    }
-
-    /// Enables windowed timeline collection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window length is zero.
-    pub fn timeline_window(mut self, window: SimDuration) -> Self {
-        assert!(!window.is_zero(), "window length must be positive");
-        self.config.timeline_window = Some(window);
         self
     }
 

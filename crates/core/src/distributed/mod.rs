@@ -86,9 +86,6 @@ pub struct DistributedConfig {
     /// is retried (with exponential backoff) before the transaction gives
     /// up and misses.
     pub max_rpc_retries: u32,
-    /// Windowed timeline collection: commits and misses per window of
-    /// this length (`None` disables; see `monitor::Timeline`).
-    pub timeline_window: Option<SimDuration>,
     /// Multiversion temporal-consistency measurement (local architecture,
     /// §4's closing mechanism): read-only transactions additionally probe
     /// a per-site version store pinned at their arrival instant, and the
@@ -130,7 +127,6 @@ impl Default for DistributedConfigBuilder {
                 fail_site: None,
                 faults: FaultPlan::default(),
                 max_rpc_retries: 2,
-                timeline_window: None,
                 temporal_versions: None,
                 snapshot_readers: false,
             },
@@ -190,17 +186,6 @@ impl DistributedConfigBuilder {
     /// Sets the lock-RPC retry budget.
     pub fn max_rpc_retries(mut self, retries: u32) -> Self {
         self.config.max_rpc_retries = retries;
-        self
-    }
-
-    /// Enables windowed timeline collection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window length is zero.
-    pub fn timeline_window(mut self, window: SimDuration) -> Self {
-        assert!(!window.is_zero(), "window length must be positive");
-        self.config.timeline_window = Some(window);
         self
     }
 

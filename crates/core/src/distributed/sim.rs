@@ -616,10 +616,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
     fn is_snapshot_reader(&self, txn: TxnId) -> bool {
         self.config.snapshot_readers
             && !self.is_system(txn)
-            && self
-                .specs
-                .get(&txn)
-                .is_some_and(|s| s.write_set.is_empty())
+            && self.specs.get(&txn).is_some_and(|s| s.write_set.is_empty())
     }
 
     // ----- CPU ----------------------------------------------------------
@@ -1397,7 +1394,15 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
         self.probe_snapshot(txn, object, site, now);
         let read = self.version_stores[site.index()].read_at(object, pin);
         if let Some(version) = read.number() {
-            self.emit(now, site, SimEventKind::SnapshotRead { txn, object, version });
+            self.emit(
+                now,
+                site,
+                SimEventKind::SnapshotRead {
+                    txn,
+                    object,
+                    version,
+                },
+            );
         }
     }
 
@@ -1465,7 +1470,14 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
             );
             if let Some(through) = gced {
                 self.versions_gced += 1;
-                self.emit(now, home, SimEventKind::VersionGced { object: obj, through });
+                self.emit(
+                    now,
+                    home,
+                    SimEventKind::VersionGced {
+                        object: obj,
+                        through,
+                    },
+                );
             }
             let seq = self.next_op_seq();
             self.monitor.record_op(Operation {
@@ -2308,10 +2320,6 @@ pub fn run_transactions_distributed_with<S: EventSink<SimEvent>>(
         let prev = specs.insert(spec.id, spec);
         assert!(prev.is_none(), "duplicate transaction id");
     }
-    let mut monitor = Monitor::new();
-    if let Some(window) = config.timeline_window {
-        monitor.enable_timeline(window);
-    }
     let tracing = sink.enabled();
     // Values needed after `config` moves into the model.
     let fail_site = config.fail_site;
@@ -2354,7 +2362,7 @@ pub fn run_transactions_distributed_with<S: EventSink<SimEvent>>(
             .collect(),
         global_pcp,
         local_pcps,
-        monitor,
+        monitor: Monitor::new(),
         specs,
         exec: FxHashMap::default(),
         eff_prio: FxHashMap::default(),

@@ -24,6 +24,7 @@ use std::fmt;
 use rtdb::{LockEvent, LockMode, ObjectId, SiteId, TxnId};
 use starlite::{EventSink, FxHashMap, Priority, SimTime};
 
+use crate::episode::{Episode, EpisodeTracker};
 use crate::hist::Histogram;
 
 /// Why a transaction aborted.
@@ -643,17 +644,16 @@ impl fmt::Display for SimEvent {
 /// Counting sink: per-kind event counters plus blocking-episode and
 /// response-time histograms.
 ///
-/// A blocking episode opens at `LockBlocked`/`CeilingBlocked` and closes
-/// at the next `LockGranted`/`LockUpgraded` (or abort) of the same
-/// transaction; its duration lands in [`MetricsSink::blocking`]. Response
-/// times (`TxnArrived` → `TxnCommitted`) land in [`MetricsSink::response`].
+/// Blocking episodes follow the [`EpisodeTracker`] rule; each closed
+/// episode's duration lands in [`MetricsSink::blocking`]. Response times
+/// (`TxnArrived` → `TxnCommitted`) land in [`MetricsSink::response`].
 #[derive(Debug, Clone)]
 pub struct MetricsSink {
     counts: [u64; EVENT_KIND_COUNT],
     total: u64,
     blocking: Histogram,
     response: Histogram,
-    blocked_since: FxHashMap<TxnId, SimTime>,
+    episodes: EpisodeTracker,
     arrived_at: FxHashMap<TxnId, SimTime>,
 }
 
@@ -666,7 +666,7 @@ impl Default for MetricsSink {
             total: 0,
             blocking: Histogram::default(),
             response: Histogram::default(),
-            blocked_since: FxHashMap::default(),
+            episodes: EpisodeTracker::new(),
             arrived_at: FxHashMap::default(),
         }
     }
@@ -708,6 +708,9 @@ impl EventSink<SimEvent> for MetricsSink {
     fn emit(&mut self, at: SimTime, event: SimEvent) {
         self.counts[event.kind.index()] += 1;
         self.total += 1;
+        if let Some(ep) = self.episodes.observe(at, &event.kind) {
+            self.blocking.record(ep.ticks());
+        }
         match event.kind {
             SimEventKind::TxnArrived { txn, .. } => {
                 self.arrived_at.insert(txn, at);
@@ -717,19 +720,6 @@ impl EventSink<SimEvent> for MetricsSink {
                     // Saturating: a crafted trace with non-monotonic
                     // timestamps must degrade gracefully, not panic.
                     self.response.record(at.saturating_since(start).ticks());
-                }
-            }
-            SimEventKind::LockBlocked { txn, .. }
-            | SimEventKind::CeilingBlocked { txn, .. }
-            | SimEventKind::RangeLatchBlocked { txn, .. } => {
-                self.blocked_since.entry(txn).or_insert(at);
-            }
-            SimEventKind::LockGranted { txn, .. }
-            | SimEventKind::LockUpgraded { txn, .. }
-            | SimEventKind::RangeLatchAcquired { txn, .. }
-            | SimEventKind::TxnAborted { txn, .. } => {
-                if let Some(since) = self.blocked_since.remove(&txn) {
-                    self.blocking.record(at.saturating_since(since).ticks());
                 }
             }
             _ => {}
@@ -899,106 +889,68 @@ impl EventSink<SimEvent> for ChromeTraceSink {
     }
 }
 
-#[derive(Debug, Default, Clone, Copy)]
-struct BlockState {
+/// Blocking history of one transaction, folded from its closed episodes.
+#[derive(Debug, Default)]
+struct Waits {
     episodes: u32,
     total_blocked: u64,
-    since: Option<SimTime>,
-    current: Option<(Option<TxnId>, ObjectId, bool)>,
-    worst_ticks: u64,
-    worst: Option<(Option<TxnId>, ObjectId, bool)>,
+    worst: Option<Episode>,
 }
 
-impl BlockState {
-    fn close(&mut self, at: SimTime) {
-        if let Some(since) = self.since.take() {
-            // Saturating: loaded traces may carry adversarial timestamps.
-            let dur = at.saturating_since(since).ticks();
-            self.total_blocked += dur;
-            // Strictly longer episodes take over the worst-episode slot;
-            // a later zero-tick episode must not steal the attribution
-            // (the first episode still claims the empty slot).
-            if dur > self.worst_ticks || self.worst.is_none() {
-                self.worst_ticks = dur;
-                self.worst = self.current;
-            }
-            self.current = None;
+impl Waits {
+    fn add(&mut self, ep: Episode) {
+        self.episodes += 1;
+        self.total_blocked += ep.ticks();
+        // Strictly longer episodes take over the worst-episode slot; a
+        // later zero-tick episode must not steal the attribution (the
+        // first episode still claims the empty slot).
+        if self.worst.is_none_or(|w| ep.ticks() > w.ticks()) {
+            self.worst = Some(ep);
         }
     }
 }
 
 /// Reconstructs blocking chains from an event stream and explains every
 /// deadline miss: how often the transaction blocked, for how long in
-/// total, and who it spent its longest episode waiting behind.
+/// total, and who it spent its longest episode waiting behind. Episodes
+/// follow the [`EpisodeTracker`] rule.
 ///
 /// Returns one line per missed transaction, in miss order — e.g.
 /// `T7 missed its deadline: blocked 3x, 41 ticks behind T2 via ceiling on O4`.
 pub fn explain_misses(events: &[(SimTime, SimEvent)]) -> Vec<String> {
-    let mut state: FxHashMap<TxnId, BlockState> = FxHashMap::default();
+    let mut tracker = EpisodeTracker::new();
+    let mut waits: FxHashMap<TxnId, Waits> = FxHashMap::default();
     let mut out = Vec::new();
     for &(at, ev) in events {
+        if let Some(ep) = tracker.observe(at, &ev.kind) {
+            waits.entry(ep.txn).or_default().add(ep);
+        }
         match ev.kind {
-            SimEventKind::LockBlocked {
-                txn,
-                object,
-                blocker,
-                ..
-            } => {
-                let s = state.entry(txn).or_default();
-                // A block can arrive while an episode is still open (the
-                // grant event was filtered out, or a restart re-blocked);
-                // close the open episode so its time is not dropped.
-                s.close(at);
-                s.episodes += 1;
-                s.since = Some(at);
-                s.current = Some((blocker, object, false));
-            }
-            SimEventKind::CeilingBlocked {
-                txn,
-                object,
-                blocker,
-            } => {
-                let s = state.entry(txn).or_default();
-                s.close(at);
-                s.episodes += 1;
-                s.since = Some(at);
-                s.current = Some((blocker, object, true));
-            }
-            SimEventKind::LockGranted { txn, .. } | SimEventKind::LockUpgraded { txn, .. } => {
-                if let Some(s) = state.get_mut(&txn) {
-                    s.close(at);
-                }
-            }
             SimEventKind::TxnAborted {
                 txn,
                 reason: AbortReason::DeadlineMissed,
             } => {
-                let mut s = state.remove(&txn).unwrap_or_default();
-                s.close(at);
-                if s.episodes == 0 {
+                let w = waits.remove(&txn).unwrap_or_default();
+                let Some(ep) = w.worst else {
                     out.push(format!("{txn} missed its deadline: never blocked"));
-                } else {
-                    let (blocker, object, ceiling) = s.worst.unwrap_or((None, ObjectId(0), false));
-                    let who = match blocker {
-                        Some(b) => format!("{b}"),
-                        None => String::from("peers"),
-                    };
-                    let via = if ceiling { "ceiling on" } else { "lock on" };
-                    out.push(format!(
-                        "{txn} missed its deadline: blocked {}x, {} ticks behind {who} via {via} {object}",
-                        s.episodes, s.total_blocked
-                    ));
-                }
-            }
-            SimEventKind::TxnAborted { txn, .. } => {
-                if let Some(s) = state.get_mut(&txn) {
-                    s.close(at);
-                }
+                    continue;
+                };
+                let who = match ep.blocker {
+                    Some(b) => format!("{b}"),
+                    None => String::from("peers"),
+                };
+                out.push(format!(
+                    "{txn} missed its deadline: blocked {}x, {} ticks behind {who} via {} on {}",
+                    w.episodes,
+                    w.total_blocked,
+                    ep.cause.label(),
+                    ep.object
+                ));
             }
             SimEventKind::TxnCommitted { txn } => {
                 // Committed transactions can never miss; drop their state
                 // so the map stays bounded over long traces.
-                state.remove(&txn);
+                waits.remove(&txn);
             }
             _ => {}
         }
@@ -1225,9 +1177,9 @@ mod tests {
     #[test]
     fn explainer_closes_open_episode_on_reblock() {
         // Block at 10, block again at 30 (no grant in between), miss at
-        // 50: both episodes' time must be counted (20 + 20 ticks), and the
-        // second (equal-length, not longer) episode must not steal the
-        // worst slot from the first.
+        // 50: under the shared first-wins rule the re-block joins the open
+        // episode, so all 40 ticks count once, attributed to the first
+        // blocker and object.
         let events = vec![
             (
                 t(10),
@@ -1257,7 +1209,42 @@ mod tests {
         ];
         assert_eq!(
             explain_misses(&events),
-            vec!["T7 missed its deadline: blocked 2x, 40 ticks behind T2 via lock on O1"]
+            vec!["T7 missed its deadline: blocked 1x, 40 ticks behind T2 via lock on O1"]
+        );
+    }
+
+    #[test]
+    fn explainer_attributes_latch_only_waits() {
+        let events = vec![
+            (
+                t(10),
+                at_site(SimEventKind::RangeLatchBlocked {
+                    txn: TxnId(7),
+                    lo: ObjectId(4),
+                    hi: ObjectId(9),
+                    blocker: Some(TxnId(2)),
+                }),
+            ),
+            (
+                t(35),
+                at_site(SimEventKind::RangeLatchAcquired {
+                    txn: TxnId(7),
+                    lo: ObjectId(4),
+                    hi: ObjectId(9),
+                    mode: LockMode::Read,
+                }),
+            ),
+            (
+                t(60),
+                at_site(SimEventKind::TxnAborted {
+                    txn: TxnId(7),
+                    reason: AbortReason::DeadlineMissed,
+                }),
+            ),
+        ];
+        assert_eq!(
+            explain_misses(&events),
+            vec!["T7 missed its deadline: blocked 1x, 25 ticks behind T2 via range latch on O4"]
         );
     }
 

@@ -20,6 +20,8 @@
 //!   the correctness bar every protocol must clear;
 //! * [`events`] — the unified structured event model ([`events::SimEvent`])
 //!   with the metrics, Chrome-trace and blocking-chain-explainer sinks;
+//! * [`episode`] — the blocking-episode rule ([`episode::EpisodeTracker`])
+//!   every blocking measurement above and below is folded from;
 //! * [`check`] — the online invariant oracle ([`check::CheckSink`]):
 //!   serialisability, ceiling properties, lock legality, accounting/2PC
 //!   and replica coherence checked continuously against the event stream;
@@ -41,6 +43,7 @@ pub mod aggregate;
 pub mod check;
 pub mod ci;
 pub mod csv;
+pub mod episode;
 pub mod events;
 pub mod hist;
 pub mod jsonl;
@@ -48,12 +51,12 @@ pub mod plot;
 pub mod profile;
 pub mod record;
 pub mod serializability;
-pub mod timeline;
 pub mod timeseries;
 
 pub use aggregate::RunStats;
 pub use check::{CheckConfig, CheckSink, Violation};
 pub use ci::Summary;
+pub use episode::{Episode, EpisodeTracker};
 pub use events::{
     explain_misses, AbortReason, ChromeTraceSink, MetricsSink, SimEvent, SimEventKind,
     EVENT_KIND_COUNT,
@@ -63,5 +66,4 @@ pub use jsonl::{read_jsonl, JsonlSink};
 pub use profile::{ContentionProfiler, ContentionReport};
 pub use record::{Monitor, Outcome, TxnRecord};
 pub use serializability::{check_conflict_serializable, SerializabilityError};
-pub use timeline::Timeline;
 pub use timeseries::TimeSeriesSink;

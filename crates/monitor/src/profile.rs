@@ -1,20 +1,18 @@
 //! Contention attribution: *where* blocked time came from.
 //!
 //! The paper's figures reduce every protocol comparison to blocked time;
-//! [`ContentionProfiler`] is the sink that attributes it. It watches the
-//! same blocking episodes [`crate::MetricsSink`] measures — an episode
-//! opens at the first `LockBlocked`/`CeilingBlocked`/`RangeLatchBlocked`
-//! of a transaction and closes at its next `LockGranted`/`LockUpgraded`/
-//! `RangeLatchAcquired`/`TxnAborted` — and charges each closed episode to
-//! the object (a range-latch wait is charged to the range's first
-//! object), blocker edge, and priority band involved. The identical open/close rule is load-bearing:
-//! the per-object blocked-time total sums *exactly* to
-//! `MetricsSink::blocking().total()` (asserted by `tests/profiling.rs`),
-//! so the profile is a lossless decomposition of the aggregate, not a
-//! second approximate measurement.
+//! [`ContentionProfiler`] is the sink that attributes it. It takes its
+//! blocking episodes from an [`EpisodeTracker`] (see there for the
+//! open/close rule) and charges each closed episode to the object (a
+//! range-latch wait is charged to the range's first object), blocker
+//! edge, and priority band involved. Sharing the rule with
+//! [`crate::MetricsSink`] is load-bearing: the per-object blocked-time
+//! total sums *exactly* to `MetricsSink::blocking().total()` (asserted by
+//! `tests/profiling.rs`), so the profile is a lossless decomposition of
+//! the aggregate, not a second approximate measurement.
 //!
-//! On top of episode attribution it tracks blocking-chain depth (how many
-//! waiters deep a transaction stood when it blocked), per-site RPC
+//! On top of episode attribution it reports blocking-chain depth (how
+//! many waiters deep a transaction stood when it blocked), per-site RPC
 //! latency — matched FIFO per link from `MsgSent` to `MsgDelivered`,
 //! which under fault-plan jitter is an approximation since deliveries
 //! may reorder — and per-site RPC retry counts.
@@ -22,6 +20,7 @@
 use rtdb::{ObjectId, SiteId, TxnId};
 use starlite::{EventSink, FxHashMap, Priority, SimTime};
 
+use crate::episode::{Cause, Episode, EpisodeTracker};
 use crate::events::{SimEvent, SimEventKind};
 use crate::hist::Histogram;
 
@@ -31,29 +30,6 @@ pub const BAND_COUNT: usize = 3;
 
 /// Band display names, most urgent first: `bands[0]` is the top tertile.
 pub const BAND_NAMES: [&str; BAND_COUNT] = ["high", "mid", "low"];
-
-#[derive(Debug, Clone, Copy)]
-struct OpenEpisode {
-    since: SimTime,
-    object: ObjectId,
-    blocker: Option<TxnId>,
-    ceiling: bool,
-    /// Chain depth at open: 1 + the open-waiter chain length above the
-    /// blocker.
-    depth: u32,
-}
-
-/// One closed blocking episode (kept so priority bands, which depend on
-/// the full run's priority distribution, can be assigned in `finish`).
-#[derive(Debug, Clone, Copy)]
-struct ClosedEpisode {
-    object: ObjectId,
-    blocked: TxnId,
-    blocker: Option<TxnId>,
-    ticks: u64,
-    ceiling: bool,
-    depth: u32,
-}
 
 /// Per-object contention in the finished report.
 #[derive(Debug, Clone, PartialEq)]
@@ -185,8 +161,10 @@ struct LinkState {
 #[derive(Debug, Default)]
 pub struct ContentionProfiler {
     priorities: FxHashMap<TxnId, Priority>,
-    open: FxHashMap<TxnId, OpenEpisode>,
-    closed: Vec<ClosedEpisode>,
+    episodes: EpisodeTracker,
+    /// Closed episodes, kept so priority bands, which depend on the full
+    /// run's priority distribution, can be assigned in `finish`.
+    closed: Vec<Episode>,
     links: FxHashMap<(SiteId, SiteId), LinkState>,
     rpc_latency: FxHashMap<SiteId, Histogram>,
     rpc_retries: FxHashMap<SiteId, Histogram>,
@@ -196,68 +174,6 @@ impl ContentionProfiler {
     /// Creates an empty profiler.
     pub fn new() -> Self {
         ContentionProfiler::default()
-    }
-
-    fn chain_depth(&self, blocker: Option<TxnId>) -> u32 {
-        let mut depth = 1u32;
-        let mut cursor = blocker;
-        // Follow the open-waiter chain above the blocker. The walk is
-        // bounded so a (theoretically impossible) wait cycle cannot hang
-        // the profiler.
-        while let Some(b) = cursor {
-            if depth >= 64 {
-                break;
-            }
-            match self.open.get(&b) {
-                Some(ep) => {
-                    depth += 1;
-                    cursor = ep.blocker;
-                }
-                None => break,
-            }
-        }
-        depth
-    }
-
-    fn open_episode(
-        &mut self,
-        at: SimTime,
-        txn: TxnId,
-        object: ObjectId,
-        blocker: Option<TxnId>,
-        ceiling: bool,
-    ) {
-        // First-win, exactly like MetricsSink: a re-block while an episode
-        // is open keeps the original attribution and start time.
-        if self.open.contains_key(&txn) {
-            return;
-        }
-        let depth = self.chain_depth(blocker);
-        self.open.insert(
-            txn,
-            OpenEpisode {
-                since: at,
-                object,
-                blocker,
-                ceiling,
-                depth,
-            },
-        );
-    }
-
-    fn close_episode(&mut self, at: SimTime, txn: TxnId) {
-        if let Some(ep) = self.open.remove(&txn) {
-            self.closed.push(ClosedEpisode {
-                object: ep.object,
-                blocked: txn,
-                blocker: ep.blocker,
-                // Saturating: replayed traces are untrusted input and may
-                // carry non-monotonic timestamps.
-                ticks: at.saturating_since(ep.since).ticks(),
-                ceiling: ep.ceiling,
-                depth: ep.depth,
-            });
-        }
     }
 
     /// Closed episodes so far (mostly for tests).
@@ -309,9 +225,10 @@ impl ContentionProfiler {
         let mut chain = ChainStats::default();
 
         for ep in &self.closed {
-            total_blocked_ticks += ep.ticks;
-            let band = band_of(ep.blocked);
-            blocked_by_band[band] += ep.ticks;
+            let ticks = ep.ticks();
+            total_blocked_ticks += ticks;
+            let band = band_of(ep.txn);
+            blocked_by_band[band] += ticks;
             chain.max_depth = chain.max_depth.max(ep.depth);
             chain.total_depth += ep.depth as u64;
             chain.episodes += 1;
@@ -323,33 +240,28 @@ impl ContentionProfiler {
                 ceiling_episodes: 0,
                 by_band: [0; BAND_COUNT],
             });
-            obj.blocked_ticks += ep.ticks;
+            obj.blocked_ticks += ticks;
             obj.episodes += 1;
-            obj.ceiling_episodes += ep.ceiling as u64;
-            obj.by_band[band] += ep.ticks;
+            obj.ceiling_episodes += (ep.cause == Cause::Ceiling) as u64;
+            obj.by_band[band] += ticks;
 
             if let Some(blocker) = ep.blocker {
-                let inverted = match (
-                    self.priorities.get(&ep.blocked),
-                    self.priorities.get(&blocker),
-                ) {
+                let inverted = match (self.priorities.get(&ep.txn), self.priorities.get(&blocker)) {
                     (Some(w), Some(b)) => w > b,
                     _ => false,
                 };
-                let edge = per_edge
-                    .entry((blocker, ep.blocked))
-                    .or_insert(BlockingEdge {
-                        blocker,
-                        blocked: ep.blocked,
-                        count: 0,
-                        ticks: 0,
-                        inversion_ticks: 0,
-                    });
+                let edge = per_edge.entry((blocker, ep.txn)).or_insert(BlockingEdge {
+                    blocker,
+                    blocked: ep.txn,
+                    count: 0,
+                    ticks: 0,
+                    inversion_ticks: 0,
+                });
                 edge.count += 1;
-                edge.ticks += ep.ticks;
+                edge.ticks += ticks;
                 if inverted {
-                    edge.inversion_ticks += ep.ticks;
-                    inversion_ticks += ep.ticks;
+                    edge.inversion_ticks += ticks;
+                    inversion_ticks += ticks;
                 }
             }
         }
@@ -407,28 +319,13 @@ impl ContentionProfiler {
 
 impl EventSink<SimEvent> for ContentionProfiler {
     fn emit(&mut self, at: SimTime, event: SimEvent) {
+        if let Some(ep) = self.episodes.observe(at, &event.kind) {
+            self.closed.push(ep);
+        }
         match event.kind {
             SimEventKind::TxnArrived { txn, priority } => {
                 self.priorities.insert(txn, priority);
             }
-            SimEventKind::LockBlocked {
-                txn,
-                object,
-                blocker,
-                ..
-            } => self.open_episode(at, txn, object, blocker, false),
-            SimEventKind::CeilingBlocked {
-                txn,
-                object,
-                blocker,
-            } => self.open_episode(at, txn, object, blocker, true),
-            SimEventKind::RangeLatchBlocked {
-                txn, lo, blocker, ..
-            } => self.open_episode(at, txn, lo, blocker, false),
-            SimEventKind::LockGranted { txn, .. }
-            | SimEventKind::LockUpgraded { txn, .. }
-            | SimEventKind::RangeLatchAcquired { txn, .. }
-            | SimEventKind::TxnAborted { txn, .. } => self.close_episode(at, txn),
             SimEventKind::MsgSent { from, to } => {
                 let link = self.links.entry((from, to)).or_default();
                 if link.pending_cancels > 0 {

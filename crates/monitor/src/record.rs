@@ -6,8 +6,6 @@ use std::fmt;
 use rtdb::{History, Operation, TxnId, TxnKind, TxnSpec};
 use starlite::{SimDuration, SimTime};
 
-use crate::timeline::Timeline;
-
 /// Final disposition of a processed transaction.
 ///
 /// The paper's definition: "a transaction is processed if either it
@@ -111,7 +109,6 @@ impl TxnRecord {
 pub struct Monitor {
     records: FxHashMap<TxnId, TxnRecord>,
     history: History,
-    timeline: Option<Timeline>,
 }
 
 impl fmt::Debug for Monitor {
@@ -127,21 +124,6 @@ impl Monitor {
     /// Creates an empty monitor.
     pub fn new() -> Self {
         Monitor::default()
-    }
-
-    /// Enables windowed timeline collection (commits and misses per
-    /// window of virtual time).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window length is zero.
-    pub fn enable_timeline(&mut self, window: SimDuration) {
-        self.timeline = Some(Timeline::new(window));
-    }
-
-    /// The collected timeline, when enabled.
-    pub fn timeline(&self) -> Option<&Timeline> {
-        self.timeline.as_ref()
     }
 
     /// Registers an arriving transaction.
@@ -206,10 +188,6 @@ impl Monitor {
         assert_eq!(r.outcome, Outcome::InProgress, "{txn} finished twice");
         r.outcome = Outcome::Committed;
         r.finish = Some(now);
-        let size = r.size;
-        if let Some(t) = self.timeline.as_mut() {
-            t.record_commit(now, size);
-        }
     }
 
     /// Records a deadline miss (the transaction is aborted and leaves the
@@ -222,9 +200,6 @@ impl Monitor {
         assert_eq!(r.outcome, Outcome::InProgress, "{txn} finished twice");
         r.outcome = Outcome::MissedDeadline;
         r.finish = Some(now);
-        if let Some(t) = self.timeline.as_mut() {
-            t.record_miss(now);
-        }
     }
 
     /// Records an abort forced by a site failure (the transaction leaves
@@ -347,19 +322,6 @@ mod tests {
             m.record(TxnId(1)).unwrap().start,
             Some(SimTime::from_ticks(12))
         );
-    }
-
-    #[test]
-    fn timeline_collects_commits_and_misses() {
-        let mut m = Monitor::new();
-        m.enable_timeline(SimDuration::from_ticks(100));
-        m.register(&spec(1));
-        m.register(&spec(2));
-        m.on_commit(TxnId(1), SimTime::from_ticks(50));
-        m.on_miss(TxnId(2), SimTime::from_ticks(150));
-        let t = m.timeline().expect("enabled");
-        assert_eq!(t.windows()[0].committed, 1);
-        assert_eq!(t.windows()[1].missed, 1);
     }
 
     #[test]

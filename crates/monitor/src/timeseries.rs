@@ -9,11 +9,10 @@
 //! windows they span, so window totals sum to the run aggregates —
 //! `tests/profiling.rs` asserts the closure against [`crate::MetricsSink`].
 //!
-//! Blocking episodes follow the `MetricsSink` rule (open at the first
-//! `LockBlocked`/`CeilingBlocked`, close at
-//! `LockGranted`/`LockUpgraded`/`TxnAborted`); episodes still open at the
-//! end of the stream are dropped, matching the aggregate histogram. CPU
-//! busy time is an *occupancy upper bound*: a burst is counted from its
+//! Blocking episodes follow the [`EpisodeTracker`] rule, shared with the
+//! aggregate histogram; an episode's ticks are sliced across the windows
+//! it spans and it is counted in the window where it closed. CPU busy
+//! time is an *occupancy upper bound*: a burst is counted from its
 //! `Dispatched` until the transaction's `Preempted`/terminal event or the
 //! site's next `Dispatched`, because burst completion itself emits no
 //! event. The event stream also carries no scheduler-internal queue
@@ -23,6 +22,7 @@
 use rtdb::{SiteId, TxnId};
 use starlite::{EventSink, FxHashMap, SimTime};
 
+use crate::episode::EpisodeTracker;
 use crate::events::{AbortReason, SimEvent, SimEventKind};
 
 /// Default window width, in simulated ticks. At the paper's workloads
@@ -60,7 +60,7 @@ pub struct Window {
 pub struct TimeSeriesSink {
     width: u64,
     windows: Vec<Window>,
-    blocked_since: FxHashMap<TxnId, SimTime>,
+    episodes: EpisodeTracker,
     running: FxHashMap<SiteId, (TxnId, SimTime)>,
     /// Highest site index seen, so exports emit a rectangular site matrix.
     sites: usize,
@@ -72,7 +72,7 @@ impl TimeSeriesSink {
         TimeSeriesSink {
             width: width_ticks.max(1),
             windows: Vec::new(),
-            blocked_since: FxHashMap::default(),
+            episodes: EpisodeTracker::new(),
             running: FxHashMap::default(),
             sites: 0,
         }
@@ -132,13 +132,6 @@ impl TimeSeriesSink {
             }
             &mut w.cpu_busy[idx]
         });
-    }
-
-    fn close_episode(&mut self, at: SimTime, txn: TxnId) {
-        if let Some(since) = self.blocked_since.remove(&txn) {
-            self.add_sliced(since, at, |w| &mut w.blocked_ticks);
-            self.window_at(at).episodes += 1;
-        }
     }
 
     fn close_burst(&mut self, at: SimTime, site: SiteId, txn: TxnId) {
@@ -230,13 +223,14 @@ impl Default for TimeSeriesSink {
 impl EventSink<SimEvent> for TimeSeriesSink {
     fn emit(&mut self, at: SimTime, event: SimEvent) {
         self.window_at(at).events += 1;
+        if let Some(ep) = self.episodes.observe(at, &event.kind) {
+            self.add_sliced(ep.since, ep.until, |w| &mut w.blocked_ticks);
+            self.window_at(at).episodes += 1;
+        }
         match event.kind {
             SimEventKind::TxnArrived { .. } => self.window_at(at).arrivals += 1,
             SimEventKind::TxnCommitted { txn } => {
                 self.window_at(at).commits += 1;
-                // No close_episode here: a committing transaction cannot
-                // be blocked, and MetricsSink's histogram (the closure
-                // target) only closes episodes on grant/upgrade/abort.
                 self.close_burst(at, event.site, txn);
             }
             SimEventKind::TxnAborted { txn, reason } => {
@@ -245,14 +239,7 @@ impl EventSink<SimEvent> for TimeSeriesSink {
                     AbortReason::SiteFailed => self.window_at(at).faults += 1,
                     AbortReason::DeadlockVictim => self.window_at(at).restarts += 1,
                 }
-                self.close_episode(at, txn);
                 self.close_burst(at, event.site, txn);
-            }
-            SimEventKind::LockBlocked { txn, .. } | SimEventKind::CeilingBlocked { txn, .. } => {
-                self.blocked_since.entry(txn).or_insert(at);
-            }
-            SimEventKind::LockGranted { txn, .. } | SimEventKind::LockUpgraded { txn, .. } => {
-                self.close_episode(at, txn);
             }
             SimEventKind::Dispatched { txn } => {
                 if let Some((prev, since)) = self.running.insert(event.site, (txn, at)) {

@@ -1,8 +1,7 @@
 //! Zero-cost-when-disabled structured event emission.
 //!
 //! The paper's performance monitor records "the time when each event
-//! occurred"; [`crate::Trace`] is the bounded in-kernel half of that. This
-//! module is the *structured* half: simulation models are generic over an
+//! occurred"; this module is how: simulation models are generic over an
 //! [`EventSink`] and push typed events into it as they happen. The sink is
 //! chosen at monomorphisation time, so a model instantiated with
 //! [`NullSink`] compiles the emission paths down to nothing — `enabled()`

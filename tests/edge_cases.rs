@@ -158,7 +158,6 @@ fn distributed_timeline_collects_windows() {
         .architecture(CeilingArchitecture::LocalReplicated)
         .comm_delay(SimDuration::from_ticks(200))
         .cpu_per_object(SimDuration::from_ticks(300))
-        .timeline_window(SimDuration::from_ticks(5_000))
         .build();
     let workload = WorkloadSpec::builder()
         .txn_count(60)
@@ -167,12 +166,12 @@ fn distributed_timeline_collects_windows() {
         .read_only_fraction(0.5)
         .deadline(20.0, SimDuration::from_ticks(300))
         .build();
-    let report =
-        rtlock::distributed::DistributedSimulator::new(config, dist_catalog(), &workload).run(4);
-    let timeline = report.monitor.timeline().expect("enabled");
-    assert!(!timeline.windows().is_empty());
-    let total: u32 = timeline.windows().iter().map(|w| w.committed).sum();
-    assert_eq!(total, report.stats.committed);
+    let mut timeline = monitor::TimeSeriesSink::new(5_000);
+    let report = rtlock::distributed::DistributedSimulator::new(config, dist_catalog(), &workload)
+        .run_with(4, &mut timeline);
+    assert!(timeline.windows().len() > 1);
+    let total: u64 = timeline.windows().iter().map(|w| w.commits).sum();
+    assert_eq!(total, u64::from(report.stats.committed));
 }
 
 #[test]
