@@ -9,10 +9,12 @@
 //!
 //! The pieces:
 //!
-//! * [`table`] — a sharded, mutex-protected lock table with per-object
-//!   grant queues, condvar wait slots, and an eager global deadlock
-//!   detector, implementing the 2PL family (FIFO, priority queues,
-//!   priority inheritance);
+//! * [`table`] — a sharded, mutex-protected lock table implementing the
+//!   2PL family (FIFO, priority queues, priority inheritance) with condvar
+//!   wait slots and an eager global deadlock detector; its per-object
+//!   grant rule is the simulator's own `rtdb::LockEntry`, so live and
+//!   simulated 2PL share one implementation of queue order, bypass and
+//!   upgrade precedence;
 //! * [`ceiling`] — the priority ceiling protocol, run by wrapping the
 //!   *simulator's own* `PriorityCeilingProtocol` state machine in a
 //!   single admission gate mutex, so live and simulated PCP share one
@@ -60,5 +62,8 @@ pub mod table;
 
 pub use ceiling::LiveCeiling;
 pub use recorder::{Recorder, ThreadLog, TICK_NS};
+/// The live table's queue discipline is the simulator's; the old name stays
+/// for callers that spell it this way.
+pub use rtdb::QueuePolicy as LiveQueue;
 pub use runner::{run_live, LiveConfig, LiveProtocol, LiveReport};
-pub use table::{Acquire, LiveQueue, LiveTable, WaitSlot};
+pub use table::{Acquire, LiveTable, WaitSlot};

@@ -27,13 +27,13 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use monitor::{AbortReason, Histogram, SimEvent, SimEventKind};
-use rtdb::{Catalog, LockMode, ObjectId, Placement, TxnId, TxnSpec};
+use rtdb::{Catalog, LockMode, ObjectId, Placement, QueuePolicy, TxnId, TxnSpec};
 use starlite::{SimDuration, SimTime};
 use workload::{Generator, SizeDistribution, WorkloadSpec};
 
 use crate::ceiling::LiveCeiling;
 use crate::recorder::{Recorder, ThreadLog, TICK_NS};
-use crate::table::{Acquire, LiveQueue, LiveTable};
+use crate::table::{Acquire, LiveTable};
 
 /// Which locking protocol the live run executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -205,11 +205,13 @@ enum Backend {
 impl Backend {
     fn for_protocol(protocol: LiveProtocol) -> Self {
         match protocol {
-            LiveProtocol::TwoPhase => Backend::Table(LiveTable::new(LiveQueue::Fifo, false)),
+            LiveProtocol::TwoPhase => Backend::Table(LiveTable::new(QueuePolicy::Fifo, false)),
             LiveProtocol::TwoPhasePriority => {
-                Backend::Table(LiveTable::new(LiveQueue::Priority, false))
+                Backend::Table(LiveTable::new(QueuePolicy::Priority, false))
             }
-            LiveProtocol::Inheritance => Backend::Table(LiveTable::new(LiveQueue::Priority, true)),
+            LiveProtocol::Inheritance => {
+                Backend::Table(LiveTable::new(QueuePolicy::Priority, true))
+            }
             LiveProtocol::Ceiling => Backend::Gate(Box::new(LiveCeiling::new(false))),
         }
     }

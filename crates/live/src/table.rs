@@ -2,11 +2,15 @@
 //! (FIFO 2PL, priority-queue 2PL, priority inheritance) on real threads.
 //!
 //! Layout follows the classic `lock_table` shape: objects hash to one of
-//! `SHARDS` buckets, each bucket a `Mutex<Shard>` over per-object entries
-//! holding the current holders and the wait queue. A blocked requester
-//! parks on its own [`WaitSlot`] (mutex + condvar); grants are handed out
-//! by whichever thread mutates the entry (a releaser wakes the waiters it
-//! unblocks), so there is no separate lock-manager thread.
+//! `SHARDS` buckets, each bucket a `Mutex<Shard>` over per-object
+//! [`LockEntry`]s. The entry is the simulator's own: compatibility, queue
+//! order, priority bypass, upgrade precedence, blocker sets and the grant
+//! pass are all decided by `rtdb::LockEntry`, so live and simulated 2PL
+//! grant exactly alike. This module adds only what real threads need: a
+//! blocked requester parks on its own [`WaitSlot`] (mutex + condvar);
+//! grants are handed out by whichever thread mutates the entry (a
+//! releaser wakes the waiters it unblocks), so there is no separate
+//! lock-manager thread.
 //!
 //! Deadlock detection is global and eager: a single [`Mutex`]-protected
 //! [`WaitsForGraph`] (the same structure the simulator uses) is kept
@@ -17,7 +21,8 @@
 //! runs a cycle check at the instant it appears, so late-forming cycles
 //! (a transaction granted here, then blocked elsewhere) are caught too.
 //! The lowest-effective-priority cycle member is poisoned through its
-//! wait slot and aborts itself on wakeup.
+//! wait slot and aborts itself on wakeup; until it withdraws, the entry's
+//! grant pass and blocker sets skip it.
 //!
 //! Event stamping: every `LockRequested` / `LockGranted` / `LockBlocked`
 //! / `LockUpgraded` / `LockReleased` / `DeadlockDetected` is recorded
@@ -25,23 +30,14 @@
 //! (see [`crate::recorder`]), so the merged stream linearizes each
 //! object's history exactly as it happened.
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 use monitor::SimEventKind;
-use rtdb::{LockMode, ObjectId, TxnId, WaitsForGraph};
+use rtdb::{EntryOutcome, LockEntry, LockMode, ObjectId, QueuePolicy, TxnId, WaitsForGraph};
 use starlite::{FxHashMap, FxHashSet, Priority};
 
 use crate::recorder::{Recorder, ThreadLog};
-
-/// Wait-queue discipline, mirroring the simulator's `QueuePolicy`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LiveQueue {
-    /// Strict arrival order (the paper's "2PL").
-    Fifo,
-    /// Most-urgent-first (the paper's "2PL with priority mode").
-    Priority,
-}
 
 /// Outcome of a blocking acquire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,40 +116,9 @@ pub(crate) fn wait_until(slot: &WaitSlot, deadline: Instant) -> WaitState {
     }
 }
 
-#[derive(Debug)]
-struct Waiter {
-    txn: TxnId,
-    mode: LockMode,
-    /// Effective priority level at enqueue time (queue order under
-    /// [`LiveQueue::Priority`]).
-    level: i64,
-    /// Read→write upgrade of an already-held lock.
-    upgrade: bool,
-    slot: Arc<WaitSlot>,
-}
-
-#[derive(Debug, Default)]
-struct Entry {
-    holders: Vec<(TxnId, LockMode)>,
-    waiters: Vec<Waiter>,
-}
-
-impl Entry {
-    fn is_idle(&self) -> bool {
-        self.holders.is_empty() && self.waiters.is_empty()
-    }
-
-    fn holds(&self, txn: TxnId) -> Option<LockMode> {
-        self.holders
-            .iter()
-            .find(|&&(t, _)| t == txn)
-            .map(|&(_, m)| m)
-    }
-}
-
 #[derive(Debug, Default)]
 struct Shard {
-    entries: FxHashMap<ObjectId, Entry>,
+    entries: FxHashMap<ObjectId, LockEntry>,
 }
 
 /// Global deadlock-detection and priority state, one mutex for all of it.
@@ -161,17 +126,25 @@ struct Shard {
 #[derive(Debug, Default)]
 struct Detector {
     wfg: WaitsForGraph,
-    /// Slot of every currently parked waiter, so a cycle found from one
-    /// bucket can poison a victim parked in another.
-    slots: FxHashMap<TxnId, Arc<WaitSlot>>,
+    /// The awaited object and slot of every currently parked waiter, so a
+    /// grant pass can wake it and a cycle found from one bucket can
+    /// poison a victim parked in another.
+    slots: FxHashMap<TxnId, (ObjectId, Arc<WaitSlot>)>,
     /// Poisoned transactions that have not yet removed themselves from
     /// their queue; skipped by grant passes and edge recomputation.
     victims: FxHashSet<TxnId>,
-    /// Effective priority levels (base, raised by inheritance).
-    level: FxHashMap<TxnId, i64>,
-    /// Base levels, to restore after a transaction finishes.
-    base: FxHashMap<TxnId, i64>,
+    /// Priority levels as `(base, effective)`; inheritance raises the
+    /// effective level, a restart restores the base.
+    levels: FxHashMap<TxnId, (i64, i64)>,
     deadlocks: u64,
+    /// Reused blocker buffer for edge recomputation.
+    scratch: Vec<TxnId>,
+}
+
+impl Detector {
+    fn level_of(&self, txn: TxnId) -> i64 {
+        self.levels.get(&txn).map_or(0, |&(_, effective)| effective)
+    }
 }
 
 /// The live lock manager for the 2PL family.
@@ -179,7 +152,7 @@ struct Detector {
 pub struct LiveTable {
     shards: Vec<Mutex<Shard>>,
     detector: Mutex<Detector>,
-    queue: LiveQueue,
+    queue: QueuePolicy,
     /// Raise holders' effective priority to their most urgent waiter's
     /// (the priority-inheritance protocol).
     inheritance: bool,
@@ -196,7 +169,7 @@ fn shard_of(object: ObjectId) -> usize {
 impl LiveTable {
     /// A fresh table with the given queue discipline; `inheritance`
     /// enables the priority-inheritance rule on top of it.
-    pub fn new(queue: LiveQueue, inheritance: bool) -> Self {
+    pub fn new(queue: QueuePolicy, inheritance: bool) -> Self {
         LiveTable {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
             detector: Mutex::new(Detector::default()),
@@ -208,15 +181,13 @@ impl LiveTable {
     /// Registers a transaction's base priority before its first request.
     pub fn register(&self, txn: TxnId, priority: Priority) {
         let mut det = self.detector.lock().unwrap();
-        det.level.insert(txn, priority.level());
-        det.base.insert(txn, priority.level());
+        det.levels.insert(txn, (priority.level(), priority.level()));
     }
 
     /// Forgets a transaction entirely (after its terminal event).
     pub fn deregister(&self, txn: TxnId) {
         let mut det = self.detector.lock().unwrap();
-        det.level.remove(&txn);
-        det.base.remove(&txn);
+        det.levels.remove(&txn);
         det.victims.remove(&txn);
         det.wfg.remove_txn(txn);
     }
@@ -224,8 +195,8 @@ impl LiveTable {
     /// Restores a restarting victim's priority to its base level.
     pub fn reset_priority(&self, txn: TxnId) {
         let mut det = self.detector.lock().unwrap();
-        if let Some(&b) = det.base.get(&txn) {
-            det.level.insert(txn, b);
+        if let Some((base, effective)) = det.levels.get_mut(&txn) {
+            *effective = *base;
         }
         det.victims.remove(&txn);
     }
@@ -233,6 +204,14 @@ impl LiveTable {
     /// Deadlock cycles detected so far.
     pub fn deadlocks(&self) -> u64 {
         self.detector.lock().unwrap().deadlocks
+    }
+
+    /// The object `txn` is currently parked on, if any — the live
+    /// counterpart of `LockTable::waiting_for`. A poisoned victim counts
+    /// until it withdraws.
+    pub fn waiting_for(&self, txn: TxnId) -> Option<ObjectId> {
+        let det = self.detector.lock().expect("detector mutex poisoned");
+        det.slots.get(&txn).map(|&(object, _)| object)
     }
 
     /// Acquires `object` in `mode` for `txn`, blocking until granted,
@@ -255,39 +234,54 @@ impl LiveTable {
             let entry = shard.entries.entry(object).or_default();
             log.record(rec, SimEventKind::LockRequested { txn, object, mode });
 
-            // Re-entrant and upgrade paths.
-            if let Some(held) = entry.holds(txn) {
-                if mode == LockMode::Read || held == LockMode::Write {
-                    // Covering re-grant; the oracle keeps the stronger mode.
+            // The entry asks for the requester's priority only when a
+            // conflict makes it matter; the detector lock taken for it is
+            // kept for the rest of the blocked path.
+            let mut det: Option<MutexGuard<'_, Detector>> = None;
+            let outcome = entry.request(self.queue, txn, mode, || {
+                let d = det.insert(self.detector.lock().expect("detector mutex poisoned"));
+                Priority::new(d.level_of(txn))
+            });
+            match outcome {
+                EntryOutcome::Held | EntryOutcome::Granted => {
                     log.record(rec, SimEventKind::LockGranted { txn, object, mode });
                     return Acquire::Granted;
                 }
-                // Read → write upgrade: immediate when sole holder.
-                if entry.holders.len() == 1 {
-                    for h in &mut entry.holders {
-                        h.1 = LockMode::Write;
-                    }
+                EntryOutcome::Upgraded => {
                     log.record(rec, SimEventKind::LockUpgraded { txn, object });
                     return Acquire::Granted;
                 }
-                slot = self.enqueue(rec, log, entry, object, txn, mode, true);
-            } else if entry.holders.iter().all(|&(_, m)| m.compatible(mode))
-                && entry.waiters.is_empty()
-            {
-                // Fast path: compatible with all holders, nobody queued.
-                entry.holders.push((txn, mode));
-                log.record(rec, SimEventKind::LockGranted { txn, object, mode });
-                return Acquire::Granted;
-            } else {
-                slot = self.enqueue(rec, log, entry, object, txn, mode, false);
+                EntryOutcome::Queued => {}
             }
-
+            let mut det =
+                det.unwrap_or_else(|| self.detector.lock().expect("detector mutex poisoned"));
+            let det = &mut *det;
+            entry.blockers_into(
+                self.queue,
+                txn,
+                |t| det.victims.contains(&t),
+                &mut det.scratch,
+            );
+            let blocker = det.scratch.first().copied();
+            log.record(
+                rec,
+                SimEventKind::LockBlocked {
+                    txn,
+                    object,
+                    mode,
+                    blocker,
+                },
+            );
+            if self.inheritance {
+                let level = det.level_of(txn);
+                self.inherit(rec, log, entry, level, det);
+            }
             // Still under the bucket: sync the detector with the new
             // queue shape and check for a fresh cycle through us.
-            let mut det = self.detector.lock().unwrap();
-            det.slots.insert(txn, slot.clone());
-            self.sync_entry_edges(entry, &mut det);
-            self.detect_from(rec, log, &mut det, txn);
+            slot = WaitSlot::new();
+            det.slots.insert(txn, (object, slot.clone()));
+            self.sync_entry_edges(entry, det);
+            self.detect_from(rec, log, det, txn);
         }
 
         // Park until granted, poisoned, or the deadline.
@@ -332,9 +326,7 @@ impl LiveTable {
         for &(object, _) in held.iter().rev() {
             let mut shard = self.shards[shard_of(object)].lock().unwrap();
             if let Some(entry) = shard.entries.get_mut(&object) {
-                let before = entry.holders.len();
-                entry.holders.retain(|&(t, _)| t != txn);
-                if entry.holders.len() != before {
+                if entry.release(txn) {
                     log.record(rec, SimEventKind::LockReleased { txn, object });
                 }
                 let mut det = self.detector.lock().unwrap();
@@ -354,96 +346,37 @@ impl LiveTable {
             .all(|s| s.lock().unwrap().entries.is_empty())
     }
 
-    /// Panics if any entry holds incompatible grants simultaneously —
-    /// the live analogue of the oracle's lock-compatibility invariant,
-    /// checkable at any instant from any thread.
+    /// Panics if any entry breaks `LockEntry::check_invariants` — above
+    /// all, holds incompatible grants simultaneously. The live analogue
+    /// of the oracle's lock-compatibility invariant, checkable at any
+    /// instant from any thread.
     pub fn assert_compatible(&self) {
         for shard in &self.shards {
             let shard = shard.lock().unwrap();
-            for (obj, entry) in &shard.entries {
-                for (i, &(t1, m1)) in entry.holders.iter().enumerate() {
-                    for &(t2, m2) in &entry.holders[i + 1..] {
-                        assert!(
-                            m1.compatible(m2),
-                            "incompatible co-holders on {obj}: {t1}:{m1:?} vs {t2}:{m2:?}"
-                        );
-                    }
-                }
+            for (&object, entry) in &shard.entries {
+                entry.check_invariants(object);
             }
         }
     }
 
     // --- internals -------------------------------------------------------
 
-    /// Enqueues a blocked request (bucket held) and records `LockBlocked`.
-    #[allow(clippy::too_many_arguments)]
-    fn enqueue(
+    /// Raises every holder's effective priority to at least `level`
+    /// (priority inheritance), recording the donations.
+    fn inherit(
         &self,
         rec: &Recorder,
         log: &mut ThreadLog,
-        entry: &mut Entry,
-        object: ObjectId,
-        txn: TxnId,
-        mode: LockMode,
-        upgrade: bool,
-    ) -> Arc<WaitSlot> {
-        let level = self.level_of(txn);
-        let blocker = entry
-            .holders
-            .iter()
-            .find(|&&(t, m)| t != txn && !m.compatible(mode))
-            .map(|&(t, _)| t)
-            .or_else(|| {
-                entry
-                    .waiters
-                    .iter()
-                    .find(|w| !w.mode.compatible(mode))
-                    .map(|w| w.txn)
-            })
-            .or_else(|| entry.waiters.first().map(|w| w.txn));
-        log.record(
-            rec,
-            SimEventKind::LockBlocked {
-                txn,
-                object,
-                mode,
-                blocker,
-            },
-        );
-        let slot = WaitSlot::new();
-        let waiter = Waiter {
-            txn,
-            mode,
-            level,
-            upgrade,
-            slot: slot.clone(),
-        };
-        match self.queue {
-            LiveQueue::Fifo => entry.waiters.push(waiter),
-            LiveQueue::Priority => {
-                // Most urgent first; FIFO among equals.
-                let pos = entry
-                    .waiters
-                    .iter()
-                    .position(|w| w.level < level)
-                    .unwrap_or(entry.waiters.len());
-                entry.waiters.insert(pos, waiter);
-            }
-        }
-        if self.inheritance {
-            self.inherit(rec, log, entry, level);
-        }
-        slot
-    }
-
-    /// Raises every conflicting holder's effective priority to at least
-    /// `level` (priority inheritance), recording the donations.
-    fn inherit(&self, rec: &Recorder, log: &mut ThreadLog, entry: &Entry, level: i64) {
-        let mut det = self.detector.lock().unwrap();
-        for &(holder, _) in &entry.holders {
-            let cur = det.level.get(&holder).copied().unwrap_or(i64::MIN);
-            if cur < level {
-                det.level.insert(holder, level);
+        entry: &LockEntry,
+        level: i64,
+        det: &mut Detector,
+    ) {
+        for &(holder, _) in entry.holders() {
+            let Some((_, effective)) = det.levels.get_mut(&holder) else {
+                continue;
+            };
+            if *effective < level {
+                *effective = level;
                 log.record(
                     rec,
                     SimEventKind::PriorityInherited {
@@ -453,16 +386,6 @@ impl LiveTable {
                 );
             }
         }
-    }
-
-    fn level_of(&self, txn: TxnId) -> i64 {
-        self.detector
-            .lock()
-            .unwrap()
-            .level
-            .get(&txn)
-            .copied()
-            .unwrap_or(0)
     }
 
     /// Removes `txn` from `object`'s wait queue after a timeout or
@@ -480,9 +403,7 @@ impl LiveTable {
         let mut shard = self.shards[shard_of(object)].lock().unwrap();
         let entry = shard.entries.entry(object).or_default();
         let mut det = self.detector.lock().unwrap();
-        let before = entry.waiters.len();
-        entry.waiters.retain(|w| w.txn != txn);
-        let was_queued = entry.waiters.len() != before;
+        let was_queued = entry.withdraw(txn);
         det.slots.remove(&txn);
         det.victims.remove(&txn);
         det.wfg.clear_waiter(txn);
@@ -493,104 +414,57 @@ impl LiveTable {
         was_queued
     }
 
-    /// Grants every waiter that is now grantable, front of the queue
-    /// first, stopping at the first ungrantable live waiter (strict
-    /// queue order); then recomputes the entry's wait-for edges and
-    /// checks the survivors for late-forming cycles. Bucket + detector
-    /// held.
+    /// Runs the entry's grant pass (poisoned victims skipped), waking
+    /// every waiter it serves; then recomputes the entry's wait-for edges
+    /// and checks the survivors for late-forming cycles. Bucket +
+    /// detector held.
     fn grant_pass(
         &self,
         rec: &Recorder,
         log: &mut ThreadLog,
-        entry: &mut Entry,
+        entry: &mut LockEntry,
         object: ObjectId,
         det: &mut Detector,
     ) {
-        while let Some(idx) = entry
-            .waiters
-            .iter()
-            .position(|w| !det.victims.contains(&w.txn))
-        {
-            let w = &entry.waiters[idx];
-            let grantable = if w.upgrade {
-                entry.holders.len() == 1 && entry.holders[0].0 == w.txn
-            } else {
-                entry
-                    .holders
-                    .iter()
-                    .all(|&(t, m)| t != w.txn && m.compatible(w.mode))
-            };
-            if !grantable {
-                break;
-            }
-            let w = entry.waiters.remove(idx);
-            if w.upgrade {
-                for h in &mut entry.holders {
-                    h.1 = LockMode::Write;
-                }
-                log.record(rec, SimEventKind::LockUpgraded { txn: w.txn, object });
-            } else {
-                entry.holders.push((w.txn, w.mode));
-                log.record(
-                    rec,
+        while let Some(g) = entry.grant_next(self.queue, |t| det.victims.contains(&t)) {
+            log.record(
+                rec,
+                if g.upgrade {
+                    SimEventKind::LockUpgraded { txn: g.txn, object }
+                } else {
                     SimEventKind::LockGranted {
-                        txn: w.txn,
+                        txn: g.txn,
                         object,
-                        mode: w.mode,
-                    },
-                );
+                        mode: g.mode,
+                    }
+                },
+            );
+            det.wfg.clear_waiter(g.txn);
+            if let Some((_, slot)) = det.slots.remove(&g.txn) {
+                slot.wake(WaitState::Granted);
             }
-            det.slots.remove(&w.txn);
-            det.wfg.clear_waiter(w.txn);
-            w.slot.wake(WaitState::Granted);
         }
         self.sync_entry_edges(entry, det);
-        let survivors: Vec<TxnId> = entry
-            .waiters
-            .iter()
-            .filter(|w| !det.victims.contains(&w.txn))
-            .map(|w| w.txn)
-            .collect();
-        for t in survivors {
-            self.detect_from(rec, log, det, t);
+        for t in entry.waiters() {
+            if !det.victims.contains(&t) {
+                self.detect_from(rec, log, det, t);
+            }
         }
     }
 
-    /// Recomputes the wait-for edges of every live waiter of `entry`:
-    /// a waiter waits on every conflicting holder and every conflicting
-    /// live waiter ahead of it. A blocked transaction waits on exactly
-    /// one object, so `set_edges` (replace-all) per waiter is exact.
-    fn sync_entry_edges(&self, entry: &Entry, det: &mut Detector) {
-        for (i, w) in entry.waiters.iter().enumerate() {
-            if det.victims.contains(&w.txn) {
+    /// Replaces the wait-for edges of every live waiter of `entry` with
+    /// its current `LockEntry::blockers_into` set. A blocked transaction
+    /// waits on exactly one object, so replace-all per waiter is exact.
+    fn sync_entry_edges(&self, entry: &LockEntry, det: &mut Detector) {
+        let mut blockers = std::mem::take(&mut det.scratch);
+        for t in entry.waiters() {
+            if det.victims.contains(&t) {
                 continue;
             }
-            let mut blockers: Vec<TxnId> = entry
-                .holders
-                .iter()
-                .filter(|&&(t, m)| t != w.txn && !m.compatible(w.mode))
-                .map(|&(t, _)| t)
-                .collect();
-            // An upgrader also waits on co-holders of the read lock.
-            if w.upgrade {
-                blockers.extend(
-                    entry
-                        .holders
-                        .iter()
-                        .filter(|&&(t, _)| t != w.txn)
-                        .map(|&(t, _)| t),
-                );
-            }
-            blockers.extend(
-                entry.waiters[..i]
-                    .iter()
-                    .filter(|a| !det.victims.contains(&a.txn) && !a.mode.compatible(w.mode))
-                    .map(|a| a.txn),
-            );
-            blockers.sort_unstable_by_key(|t| t.0);
-            blockers.dedup();
-            det.wfg.set_edges(w.txn, &blockers);
+            entry.blockers_into(self.queue, t, |w| det.victims.contains(&w), &mut blockers);
+            det.wfg.set_edges(t, &blockers);
         }
+        det.scratch = blockers;
     }
 
     /// Cycle check from `start`; on a hit, poisons the lowest-priority
@@ -602,18 +476,13 @@ impl LiveTable {
         let victim = cycle
             .iter()
             .copied()
-            .min_by_key(|t| {
-                (
-                    det.level.get(t).copied().unwrap_or(0),
-                    std::cmp::Reverse(t.0),
-                )
-            })
+            .min_by_key(|&t| (det.level_of(t), std::cmp::Reverse(t.0)))
             .expect("cycles are non-empty");
         det.deadlocks += 1;
         det.victims.insert(victim);
         det.wfg.clear_waiter(victim);
         log.record(rec, SimEventKind::DeadlockDetected { victim });
-        if let Some(slot) = det.slots.get(&victim) {
+        if let Some((_, slot)) = det.slots.get(&victim) {
             slot.wake(WaitState::Victim);
         }
     }

@@ -23,24 +23,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use monitor::{CheckConfig, CheckSink};
-use rtdb::{LockMode, ObjectId, TxnId};
+use rtdb::{LockMode, ObjectId, QueuePolicy, TxnId};
 use rtlock_live::runner::{run_live, LiveConfig, LiveProtocol};
-use rtlock_live::table::{Acquire, LiveQueue, LiveTable};
+use rtlock_live::table::{Acquire, LiveTable};
 use rtlock_live::{Recorder, ThreadLog};
 use starlite::{EventSink, Priority};
 
-/// Tiny deterministic generator (splitmix64) for per-thread decisions.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-}
+mod common;
+use common::Rng;
 
 /// Replays a live report through the oracle and asserts zero violations.
 fn assert_oracle_clean(report: &rtlock_live::LiveReport, ceiling: bool) {
@@ -67,7 +57,7 @@ fn direct_table_write_contention_has_no_double_grants() {
     const THREADS: u64 = 8;
     const ITERS: u64 = 60;
     const OBJECTS: u64 = 4;
-    let table = LiveTable::new(LiveQueue::Fifo, false);
+    let table = LiveTable::new(QueuePolicy::Fifo, false);
     let rec = Recorder::new();
     let cells: Vec<AtomicU64> = (0..OBJECTS).map(|_| AtomicU64::new(0)).collect();
     let granted: Vec<AtomicU64> = (0..OBJECTS).map(|_| AtomicU64::new(0)).collect();
@@ -130,7 +120,7 @@ fn direct_table_upgrades_are_exclusive() {
     // are poisoned; victims release and retry.
     const THREADS: u64 = 6;
     const ITERS: u64 = 40;
-    let table = LiveTable::new(LiveQueue::Fifo, false);
+    let table = LiveTable::new(QueuePolicy::Fifo, false);
     let rec = Recorder::new();
     let cell = AtomicU64::new(0);
     let commits = AtomicU64::new(0);
@@ -215,7 +205,7 @@ fn deadlocks_are_detected_and_victims_released() {
     // deadlines: timeouts can't resolve the cycles, so only detection
     // can. The run finishing at all proves every cycle was broken and
     // the victim's departure woke the survivor.
-    let table = LiveTable::new(LiveQueue::Fifo, false);
+    let table = LiveTable::new(QueuePolicy::Fifo, false);
     let rec = Recorder::new();
     let a = ObjectId(0);
     let b = ObjectId(1);

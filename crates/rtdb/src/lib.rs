@@ -9,7 +9,8 @@
 //!   per-site [`object::ObjectStore`].
 //! * [`catalog`] — database configuration: size, replication map, primary
 //!   copies (the paper's "database configuration" menu).
-//! * [`lock`] — a read/write lock table with FIFO or priority wait queues.
+//! * [`lock`] — the per-object lock-grant rule ([`LockEntry`]) and a
+//!   read/write lock table with FIFO or priority wait queues.
 //! * [`latch`] — interval (range) latches so scans coexist with point
 //!   writes without per-object locks.
 //! * [`wfg`] — the waits-for graph and deadlock (cycle) detection.
@@ -41,7 +42,10 @@ pub use commit::{Coordinator, CoordinatorAction, Participant, ParticipantAction,
 pub use history::{History, OpKind, Operation};
 pub use ids::{ObjectId, SiteId, TxnId};
 pub use latch::{GrantedLatch, LatchOutcome, RangeLatchManager};
-pub use lock::{GrantedLock, LockEvent, LockMode, LockOutcome, LockTable, QueuePolicy};
+pub use lock::{
+    EntryGrant, EntryOutcome, GrantedLock, LockEntry, LockEvent, LockMode, LockOutcome, LockTable,
+    QueuePolicy,
+};
 pub use object::{DataObject, ObjectStore};
 pub use scratch::GranuleScratch;
 pub use small::InlineVec;

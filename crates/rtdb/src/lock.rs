@@ -19,6 +19,10 @@
 //! waits for — the edges fed into the [waits-for graph](crate::wfg) for
 //! deadlock detection.
 //!
+//! The per-object grant rule lives in [`LockEntry`], which the live
+//! backend's sharded table (`rtlock-live`) stores too; [`LockTable`] adds
+//! the object map, per-transaction indexes, counters and the journal.
+//!
 //! # Example
 //!
 //! ```
@@ -150,6 +154,31 @@ pub struct GrantedLock {
     pub mode: LockMode,
 }
 
+/// How [`LockEntry::request`] resolved a request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EntryOutcome {
+    /// A held lock already covers the request (a repeat, or read under
+    /// write); nothing changed.
+    Held,
+    /// The requester joined the holders.
+    Granted,
+    /// The requester's read lock became a write lock in place.
+    Upgraded,
+    /// The request joined the wait queue.
+    Queued,
+}
+
+/// A waiter served by [`LockEntry::grant_next`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EntryGrant {
+    /// The transaction whose request was granted.
+    pub txn: TxnId,
+    /// The granted mode (`Write` for an upgrade).
+    pub mode: LockMode,
+    /// `true` when a held read lock became a write lock.
+    pub upgrade: bool,
+}
+
 #[derive(Debug, Clone)]
 struct Waiter {
     txn: TxnId,
@@ -160,50 +189,298 @@ struct Waiter {
     upgrade: bool,
 }
 
+impl Waiter {
+    /// Whether `self` is served before `other` under `policy`: FIFO by
+    /// arrival, Priority most urgent first with ties by arrival.
+    fn served_before(&self, other: &Waiter, policy: QueuePolicy) -> bool {
+        match policy {
+            QueuePolicy::Fifo => self.seq < other.seq,
+            QueuePolicy::Priority => (self.priority, other.seq) > (other.priority, self.seq),
+        }
+    }
+}
+
+/// The grant state of one object — holders and wait queue — and the one
+/// rule that decides between them: holder compatibility, queue order
+/// (FIFO, or most urgent first with ties by arrival), arrival bypass
+/// under [`QueuePolicy::Priority`], upgrade precedence, blocker sets and
+/// the grant pass. Simulated and live 2PL both store one per locked
+/// object, so they grant alike.
+///
+/// Blocker queries and the grant pass take a `skip` predicate naming
+/// waiters to treat as absent (the live backend's poisoned deadlock
+/// victims, queued until their threads withdraw); the simulator passes
+/// `|_| false`.
 #[derive(Debug, Default)]
-struct ObjectLock {
+pub struct LockEntry {
     /// Holders stay inline for up to four concurrent readers — the common
     /// case allocates nothing on first lock.
     holders: InlineVec<(TxnId, LockMode), 4>,
     queue: VecDeque<Waiter>,
+    /// Arrival counter: orders waiters of equal priority.
+    next_seq: u64,
 }
 
-impl ObjectLock {
-    fn holder_mode(&self, txn: TxnId) -> Option<LockMode> {
+impl LockEntry {
+    /// Requests `mode` for `txn`.
+    ///
+    /// A mode already covered by a held lock is [`EntryOutcome::Held`]. A
+    /// read-to-write upgrade happens in place when `txn` is the sole
+    /// holder and otherwise queues at the front. Any other request is
+    /// granted when it conflicts with no holder and with no waiter served
+    /// before it — under FIFO every waiter, under Priority only those at
+    /// least as urgent — and queues otherwise.
+    ///
+    /// `priority` is called at most once, and only when a conflict makes
+    /// the requester's urgency matter, so a caller can defer looking it up.
+    pub fn request(
+        &mut self,
+        policy: QueuePolicy,
+        txn: TxnId,
+        mode: LockMode,
+        priority: impl FnOnce() -> Priority,
+    ) -> EntryOutcome {
+        match self.holder_mode(txn) {
+            Some(LockMode::Write) => return EntryOutcome::Held,
+            Some(LockMode::Read) if mode == LockMode::Read => return EntryOutcome::Held,
+            Some(LockMode::Read) => {
+                if !self.has_holder_conflict(txn, LockMode::Write) {
+                    self.set_write(txn);
+                    return EntryOutcome::Upgraded;
+                }
+                // Upgrades go to the very front: the transaction already
+                // holds a read lock, so nothing behind it can run anyway.
+                let waiter = self.waiter(txn, LockMode::Write, priority(), true);
+                self.queue.push_front(waiter);
+                return EntryOutcome::Queued;
+            }
+            None => {}
+        }
+        let holder_conflict = self.has_holder_conflict(txn, mode);
+        if !holder_conflict && self.queue.iter().all(|w| w.mode.compatible(mode)) {
+            self.holders.push((txn, mode));
+            return EntryOutcome::Granted;
+        }
+        let priority = priority();
+        let bypass = !holder_conflict
+            && policy == QueuePolicy::Priority
+            && self
+                .queue
+                .iter()
+                .all(|w| w.priority < priority || w.mode.compatible(mode));
+        if bypass {
+            self.holders.push((txn, mode));
+            return EntryOutcome::Granted;
+        }
+        let waiter = self.waiter(txn, mode, priority, false);
+        self.queue.push_back(waiter);
+        EntryOutcome::Queued
+    }
+
+    /// Writes into `out` (cleared first; sorted, deduplicated) the
+    /// transactions queued `txn` waits for: its conflicting holders plus,
+    /// unless it is an upgrade, the conflicting waiters served before it.
+    /// An upgrade is served before any queued request, so counting queued
+    /// writers for it would inject phantom waits-for edges (and spurious
+    /// deadlock cycles). Empty when `txn` is not queued here.
+    pub fn blockers_into(
+        &self,
+        policy: QueuePolicy,
+        txn: TxnId,
+        skip: impl Fn(TxnId) -> bool,
+        out: &mut Vec<TxnId>,
+    ) {
+        out.clear();
+        let Some(me) = self.queue.iter().find(|w| w.txn == txn) else {
+            return;
+        };
+        out.extend(
+            self.holders
+                .iter()
+                .filter(|&&(t, m)| t != txn && !m.compatible(me.mode))
+                .map(|&(t, _)| t),
+        );
+        if !me.upgrade {
+            out.extend(
+                self.queue
+                    .iter()
+                    .filter(|w| {
+                        w.txn != txn
+                            && !skip(w.txn)
+                            && !w.mode.compatible(me.mode)
+                            && w.served_before(me, policy)
+                    })
+                    .map(|w| w.txn),
+            );
+        }
+        out.sort_unstable();
+        out.dedup();
+    }
+
+    /// One step of the grant pass: serves the next waiter if it is
+    /// grantable, moving it to the holders, and returns it; `None` once
+    /// the waiter due next must keep waiting (or none is left).
+    ///
+    /// The waiter due next is the first eligible upgrade if there is one,
+    /// and otherwise the queue head under `policy`. An eligible upgrade
+    /// always goes first: the upgrader already holds a read lock, so no
+    /// conflicting waiter can progress before it anyway, and selecting a
+    /// more urgent (but ineligible) writer instead would park the pass and
+    /// strand the grantable upgrade forever — a spurious head-of-line
+    /// deadlock.
+    pub fn grant_next(
+        &mut self,
+        policy: QueuePolicy,
+        skip: impl Fn(TxnId) -> bool,
+    ) -> Option<EntryGrant> {
+        let sole_holder = |txn: TxnId| self.holders.iter().all(|&(t, _)| t == txn);
+        let mut live = self.queue.iter().enumerate().filter(|(_, w)| !skip(w.txn));
+        let upgrade = live.clone().find(|(_, w)| w.upgrade && sole_holder(w.txn));
+        let (idx, w) = match (upgrade, policy) {
+            (Some(next), _) => next,
+            (None, QueuePolicy::Fifo) => live.next()?,
+            (None, QueuePolicy::Priority) => live.reduce(|best, cand| {
+                if cand.1.served_before(best.1, policy) {
+                    cand
+                } else {
+                    best
+                }
+            })?,
+        };
+        let eligible = if w.upgrade {
+            sole_holder(w.txn)
+        } else {
+            !self.has_holder_conflict(w.txn, w.mode)
+        };
+        if !eligible {
+            return None;
+        }
+        let w = self.queue.remove(idx).expect("index in range");
+        if w.upgrade {
+            self.set_write(w.txn);
+        } else {
+            self.holders.push((w.txn, w.mode));
+        }
+        Some(EntryGrant {
+            txn: w.txn,
+            mode: w.mode,
+            upgrade: w.upgrade,
+        })
+    }
+
+    /// Drops `txn` from the holders; returns whether it held a lock.
+    pub fn release(&mut self, txn: TxnId) -> bool {
+        let before = self.holders.len();
+        self.holders.retain(|&(t, _)| t != txn);
+        self.holders.len() != before
+    }
+
+    /// Drops `txn` from the wait queue; returns whether it was queued.
+    pub fn withdraw(&mut self, txn: TxnId) -> bool {
+        let before = self.queue.len();
+        self.queue.retain(|w| w.txn != txn);
+        self.queue.len() != before
+    }
+
+    /// Sets the queue priority of waiter `txn` (no-op if not queued).
+    pub fn set_waiter_priority(&mut self, txn: TxnId, priority: Priority) {
+        if let Some(w) = self.queue.iter_mut().find(|w| w.txn == txn) {
+            w.priority = priority;
+        }
+    }
+
+    /// Mode held by `txn`, if any.
+    pub fn holder_mode(&self, txn: TxnId) -> Option<LockMode> {
         self.holders
             .iter()
             .find(|(t, _)| *t == txn)
             .map(|&(_, m)| m)
     }
 
-    /// Allocation-free conflict test for the grant fast path.
+    /// Current holders with their modes, in grant order.
+    pub fn holders(&self) -> &[(TxnId, LockMode)] {
+        self.holders.as_slice()
+    }
+
+    /// Queued transactions, front of the queue first.
+    pub fn waiters(&self) -> impl Iterator<Item = TxnId> + '_ {
+        self.queue.iter().map(|w| w.txn)
+    }
+
+    /// Whether the object has neither holders nor waiters.
+    pub fn is_idle(&self) -> bool {
+        self.holders.is_empty() && self.queue.is_empty()
+    }
+
+    /// Panics unless the holders are distinct and pairwise compatible, no
+    /// holder is queued except as an upgrade, and every upgrade waiter
+    /// holds a read lock. `object` only labels the messages.
+    pub fn check_invariants(&self, object: ObjectId) {
+        for (i, &(t1, m1)) in self.holders.iter().enumerate() {
+            for &(t2, m2) in &self.holders[i + 1..] {
+                assert!(t1 != t2, "duplicate holder {t1} on {object}");
+                assert!(
+                    m1.compatible(m2),
+                    "incompatible holders {t1}:{m1:?} and {t2}:{m2:?} on {object}"
+                );
+            }
+        }
+        for w in &self.queue {
+            let held = self.holder_mode(w.txn);
+            if w.upgrade {
+                assert_eq!(
+                    held,
+                    Some(LockMode::Read),
+                    "upgrade waiter {} does not hold a read lock on {object}",
+                    w.txn
+                );
+            } else {
+                assert!(
+                    held.is_none(),
+                    "{} queued on {object} while holding it (non-upgrade)",
+                    w.txn
+                );
+            }
+        }
+    }
+
+    fn waiter(&mut self, txn: TxnId, mode: LockMode, priority: Priority, upgrade: bool) -> Waiter {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        Waiter {
+            txn,
+            mode,
+            priority,
+            seq,
+            upgrade,
+        }
+    }
+
+    /// Allocation-free conflict test against the holders other than `txn`.
     fn has_holder_conflict(&self, txn: TxnId, mode: LockMode) -> bool {
         self.holders
             .iter()
             .any(|&(t, m)| t != txn && !m.compatible(mode))
     }
 
-    /// Appends the conflicting holders to `out` (callers own the buffer, so
-    /// the hot path can reuse one).
-    fn conflicts_into(&self, txn: TxnId, mode: LockMode, out: &mut Vec<TxnId>) {
-        out.extend(
-            self.holders
-                .iter()
-                .filter(|&&(t, m)| t != txn && !m.compatible(mode))
-                .map(|&(t, _)| t),
-        );
+    fn set_write(&mut self, txn: TxnId) {
+        for h in self.holders.iter_mut() {
+            if h.0 == txn {
+                h.1 = LockMode::Write;
+            }
+        }
     }
 }
 
-/// The lock table of one site.
+/// The lock table of one site: a [`LockEntry`] per locked object plus the
+/// per-transaction indexes, counters and journal around them.
 ///
 /// See the [module documentation](self) for semantics and an example.
 pub struct LockTable {
     policy: QueuePolicy,
-    locks: FxHashMap<ObjectId, ObjectLock>,
+    locks: FxHashMap<ObjectId, LockEntry>,
     held_by: FxHashMap<TxnId, FxHashSet<ObjectId>>,
     waiting_on: FxHashMap<TxnId, ObjectId>,
-    next_seq: u64,
     grants: u64,
     waits: u64,
     upgrades: u64,
@@ -233,7 +510,6 @@ impl LockTable {
             locks: FxHashMap::default(),
             held_by: FxHashMap::default(),
             waiting_on: FxHashMap::default(),
-            next_seq: 0,
             grants: 0,
             waits: 0,
             upgrades: 0,
@@ -256,12 +532,8 @@ impl LockTable {
         out.append(&mut self.journal);
     }
 
-    /// Requests `mode` on `object` for `txn` at `priority`.
-    ///
-    /// Re-requesting a mode already covered by a held lock (read under
-    /// write, or repeat requests) is granted immediately. A read-to-write
-    /// upgrade is granted when `txn` is the sole holder and the discipline
-    /// permits, and queues otherwise.
+    /// Requests `mode` on `object` for `txn` at `priority`; the grant rule
+    /// is [`LockEntry::request`].
     ///
     /// # Panics
     ///
@@ -278,143 +550,56 @@ impl LockTable {
             !self.waiting_on.contains_key(&txn),
             "{txn} requested a lock while already waiting"
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
         if self.trace {
             self.journal
                 .push(LockEvent::Requested { txn, object, mode });
         }
-
-        let state = self.locks.entry(object).or_default();
-        match state.holder_mode(txn) {
-            Some(LockMode::Write) => {
-                // Write covers everything.
-                self.grants += 1;
-                if self.trace {
-                    self.journal.push(LockEvent::Granted { txn, object, mode });
-                }
-                return LockOutcome::Granted;
+        let entry = self.locks.entry(object).or_default();
+        let outcome = entry.request(self.policy, txn, mode, || priority);
+        match outcome {
+            EntryOutcome::Held => {}
+            EntryOutcome::Granted => {
+                self.held_by.entry(txn).or_default().insert(object);
             }
-            Some(LockMode::Read) if mode == LockMode::Read => {
-                self.grants += 1;
-                if self.trace {
-                    self.journal.push(LockEvent::Granted { txn, object, mode });
-                }
-                return LockOutcome::Granted;
-            }
-            Some(LockMode::Read) => {
-                // Upgrade request.
-                if !state.has_holder_conflict(txn, LockMode::Write) {
-                    for h in state.holders.iter_mut() {
-                        if h.0 == txn {
-                            h.1 = LockMode::Write;
-                        }
-                    }
-                    self.grants += 1;
-                    self.upgrades += 1;
-                    if self.trace {
-                        self.journal.push(LockEvent::Upgraded { txn, object });
-                    }
-                    return LockOutcome::Granted;
-                }
-                let mut others = Vec::new();
-                state.conflicts_into(txn, LockMode::Write, &mut others);
-                let waiter = Waiter {
-                    txn,
-                    mode: LockMode::Write,
-                    priority,
-                    seq,
-                    upgrade: true,
-                };
-                // Upgrades go to the very front: the transaction already
-                // holds a read lock, so nothing behind it can run anyway.
-                state.queue.push_front(waiter);
+            EntryOutcome::Upgraded => self.upgrades += 1,
+            EntryOutcome::Queued => {
+                let mut blockers = Vec::new();
+                entry.blockers_into(self.policy, txn, |_| false, &mut blockers);
                 self.waiting_on.insert(txn, object);
                 self.waits += 1;
                 if self.trace {
                     self.journal.push(LockEvent::Blocked {
                         txn,
                         object,
-                        mode: LockMode::Write,
-                        blocker: others.first().copied(),
+                        mode,
+                        blocker: blockers.first().copied(),
                     });
                 }
-                return LockOutcome::Waiting { blockers: others };
-            }
-            None => {}
-        }
-
-        // The request may be granted directly only if no waiter that would
-        // be served before it conflicts with it. Under FIFO every queued
-        // waiter is served first; under Priority only the more urgent ones.
-        let can_bypass_queue = match self.policy {
-            QueuePolicy::Fifo => state.queue.iter().all(|w| w.mode.compatible(mode)),
-            QueuePolicy::Priority => state
-                .queue
-                .iter()
-                .all(|w| w.priority < priority || w.mode.compatible(mode)),
-        };
-        if can_bypass_queue && !state.has_holder_conflict(txn, mode) {
-            state.holders.push((txn, mode));
-            self.held_by.entry(txn).or_default().insert(object);
-            self.grants += 1;
-            if self.trace {
-                self.journal.push(LockEvent::Granted { txn, object, mode });
-            }
-            return LockOutcome::Granted;
-        }
-
-        // Blockers: conflicting holders plus conflicting waiters that will
-        // be served before this request.
-        let mut blockers = Vec::new();
-        state.conflicts_into(txn, mode, &mut blockers);
-        for w in &state.queue {
-            let ahead = match self.policy {
-                QueuePolicy::Fifo => true,
-                QueuePolicy::Priority => {
-                    w.priority > priority || (w.priority == priority && w.seq < seq)
-                }
-            };
-            if ahead && !w.mode.compatible(mode) {
-                blockers.push(w.txn);
+                return LockOutcome::Waiting { blockers };
             }
         }
-        blockers.sort_unstable();
-        blockers.dedup();
-
-        state.queue.push_back(Waiter {
-            txn,
-            mode,
-            priority,
-            seq,
-            upgrade: false,
-        });
-        self.waiting_on.insert(txn, object);
-        self.waits += 1;
+        self.grants += 1;
         if self.trace {
-            self.journal.push(LockEvent::Blocked {
-                txn,
-                object,
-                mode,
-                blocker: blockers.first().copied(),
+            self.journal.push(if outcome == EntryOutcome::Upgraded {
+                LockEvent::Upgraded { txn, object }
+            } else {
+                LockEvent::Granted { txn, object, mode }
             });
         }
-        LockOutcome::Waiting { blockers }
+        LockOutcome::Granted
     }
 
     /// Releases every lock held or awaited by `txn` and wakes eligible
     /// waiters. Affected objects are processed in ascending id order; per
-    /// object, waiters wake in discipline order (FIFO: arrival order;
-    /// Priority: most urgent first, ties by arrival), except that a
-    /// grantable read-to-write upgrade is always served first. Returns the
-    /// requests granted by this release.
+    /// object, waiters wake as [`LockEntry::grant_next`] orders them.
+    /// Returns the requests granted by this release.
     pub fn release_all(&mut self, txn: TxnId) -> Vec<GrantedLock> {
         let mut affected = std::mem::take(&mut self.scratch_objs);
         affected.clear();
         if let Some(objs) = self.held_by.remove(&txn) {
             for obj in objs {
-                if let Some(state) = self.locks.get_mut(&obj) {
-                    state.holders.retain(|(t, _)| *t != txn);
+                if let Some(entry) = self.locks.get_mut(&obj) {
+                    entry.release(txn);
                 }
                 affected.push(obj);
             }
@@ -430,8 +615,8 @@ impl LockTable {
             }
         }
         if let Some(obj) = self.waiting_on.remove(&txn) {
-            if let Some(state) = self.locks.get_mut(&obj) {
-                state.queue.retain(|w| w.txn != txn);
+            if let Some(entry) = self.locks.get_mut(&obj) {
+                entry.withdraw(txn);
             }
             affected.push(obj);
         }
@@ -451,10 +636,8 @@ impl LockTable {
     /// No-op if `txn` is not waiting.
     pub fn update_waiter_priority(&mut self, txn: TxnId, priority: Priority) {
         if let Some(&obj) = self.waiting_on.get(&txn) {
-            if let Some(state) = self.locks.get_mut(&obj) {
-                if let Some(w) = state.queue.iter_mut().find(|w| w.txn == txn) {
-                    w.priority = priority;
-                }
+            if let Some(entry) = self.locks.get_mut(&obj) {
+                entry.set_waiter_priority(txn, priority);
             }
         }
     }
@@ -492,37 +675,9 @@ impl LockTable {
     /// buffer (cleared first) so waits-for-graph refreshes can reuse one.
     pub fn current_blockers_into(&self, txn: TxnId, out: &mut Vec<TxnId>) {
         out.clear();
-        let Some(&obj) = self.waiting_on.get(&txn) else {
-            return;
-        };
-        let Some(state) = self.locks.get(&obj) else {
-            return;
-        };
-        let Some(me) = state.queue.iter().find(|w| w.txn == txn) else {
-            return;
-        };
-        state.conflicts_into(txn, me.mode, out);
-        // An upgrade waits only for the other holders: it is served before
-        // any queued request, so counting queued writers here would inject
-        // phantom waits-for edges (and spurious deadlock cycles).
-        if !me.upgrade {
-            for w in &state.queue {
-                if w.txn == txn {
-                    continue;
-                }
-                let ahead = match self.policy {
-                    QueuePolicy::Fifo => w.seq < me.seq,
-                    QueuePolicy::Priority => {
-                        w.priority > me.priority || (w.priority == me.priority && w.seq < me.seq)
-                    }
-                };
-                if ahead && !w.mode.compatible(me.mode) {
-                    out.push(w.txn);
-                }
-            }
+        if let Some(entry) = self.waiting_on.get(&txn).and_then(|o| self.locks.get(o)) {
+            entry.blockers_into(self.policy, txn, |_| false, out);
         }
-        out.sort_unstable();
-        out.dedup();
     }
 
     /// Mode held by `txn` on `object`, if any.
@@ -547,7 +702,7 @@ impl LockTable {
     pub fn holders(&self, object: ObjectId) -> &[(TxnId, LockMode)] {
         self.locks
             .get(&object)
-            .map(|s| s.holders.as_slice())
+            .map(LockEntry::holders)
             .unwrap_or(&[])
     }
 
@@ -566,128 +721,61 @@ impl LockTable {
         self.upgrades
     }
 
-    /// Internal invariant check for tests: no two holders conflict, every
-    /// holder set is consistent with `held_by`, and no granted transaction
-    /// is also queued on the same object.
+    /// Internal invariant check for tests: every entry passes
+    /// [`LockEntry::check_invariants`], every holder set is consistent
+    /// with `held_by`, and every waiter with `waiting_on`.
     pub fn check_invariants(&self) {
-        for (obj, state) in &self.locks {
-            for (i, &(t1, m1)) in state.holders.iter().enumerate() {
-                for &(t2, m2) in &state.holders[i + 1..] {
-                    assert!(t1 != t2, "duplicate holder {t1} on {obj}");
-                    assert!(
-                        m1.compatible(m2),
-                        "incompatible holders {t1}:{m1:?} and {t2}:{m2:?} on {obj}"
-                    );
-                }
+        for (obj, entry) in &self.locks {
+            entry.check_invariants(*obj);
+            for &(t, _) in entry.holders() {
                 assert!(
-                    self.held_by.get(&t1).is_some_and(|s| s.contains(obj)),
-                    "holder {t1} of {obj} missing from held_by"
+                    self.held_by.get(&t).is_some_and(|s| s.contains(obj)),
+                    "holder {t} of {obj} missing from held_by"
                 );
             }
-            for w in &state.queue {
-                assert!(
-                    !state.holders.iter().any(|&(t, _)| t == w.txn) || w.upgrade,
-                    "{} queued on {obj} while holding it (non-upgrade)",
-                    w.txn
-                );
-                if w.upgrade {
-                    assert_eq!(
-                        state.holder_mode(w.txn),
-                        Some(LockMode::Read),
-                        "upgrade waiter {} does not hold a read lock on {obj}",
-                        w.txn
-                    );
-                }
+            for t in entry.waiters() {
                 assert_eq!(
-                    self.waiting_on.get(&w.txn),
+                    self.waiting_on.get(&t),
                     Some(obj),
-                    "waiting_on out of sync for {}",
-                    w.txn
+                    "waiting_on out of sync for {t}"
                 );
             }
         }
     }
 
-    /// Wakes as many waiters of `object` as compatibility allows, in
-    /// discipline order, except that an *eligible* upgrade waiter is always
-    /// served first regardless of discipline: the upgrader already holds a
-    /// read lock, so no conflicting waiter can make progress before it
-    /// anyway, and selecting a more urgent (but ineligible) writer instead
-    /// would park the pass and strand the grantable upgrade forever — a
-    /// spurious head-of-line deadlock.
+    /// Runs `object`'s grant pass to completion, recording each grant,
+    /// and drops the entry once it is idle.
     fn grant_pass(&mut self, object: ObjectId, granted: &mut Vec<GrantedLock>) {
-        loop {
-            let Some(state) = self.locks.get_mut(&object) else {
-                return;
-            };
-            if state.queue.is_empty() {
-                if state.holders.is_empty() {
-                    self.locks.remove(&object);
-                }
-                return;
-            }
-            let eligible_upgrade = state
-                .queue
-                .iter()
-                .position(|w| w.upgrade && state.holders.iter().all(|&(t, _)| t == w.txn));
-            let idx = if let Some(i) = eligible_upgrade {
-                i
-            } else {
-                match self.policy {
-                    QueuePolicy::Fifo => 0,
-                    QueuePolicy::Priority => {
-                        let mut best = 0;
-                        for i in 1..state.queue.len() {
-                            let (a, b) = (&state.queue[i], &state.queue[best]);
-                            if a.priority > b.priority
-                                || (a.priority == b.priority && a.seq < b.seq)
-                            {
-                                best = i;
-                            }
-                        }
-                        best
-                    }
-                }
-            };
-            let w = &state.queue[idx];
-            let eligible = if w.upgrade {
-                state.holders.iter().all(|&(t, _)| t == w.txn)
-            } else {
-                !state.has_holder_conflict(w.txn, w.mode)
-            };
-            if !eligible {
-                return;
-            }
-            let w = state.queue.remove(idx).expect("index in range");
-            if w.upgrade {
-                for h in state.holders.iter_mut() {
-                    if h.0 == w.txn {
-                        h.1 = LockMode::Write;
-                    }
-                }
+        let Some(entry) = self.locks.get_mut(&object) else {
+            return;
+        };
+        while let Some(g) = entry.grant_next(self.policy, |_| false) {
+            if g.upgrade {
                 self.upgrades += 1;
             } else {
-                state.holders.push((w.txn, w.mode));
-                self.held_by.entry(w.txn).or_default().insert(object);
+                self.held_by.entry(g.txn).or_default().insert(object);
             }
-            self.waiting_on.remove(&w.txn);
+            self.waiting_on.remove(&g.txn);
             self.grants += 1;
             if self.trace {
-                self.journal.push(if w.upgrade {
-                    LockEvent::Upgraded { txn: w.txn, object }
+                self.journal.push(if g.upgrade {
+                    LockEvent::Upgraded { txn: g.txn, object }
                 } else {
                     LockEvent::Granted {
-                        txn: w.txn,
+                        txn: g.txn,
                         object,
-                        mode: w.mode,
+                        mode: g.mode,
                     }
                 });
             }
             granted.push(GrantedLock {
-                txn: w.txn,
+                txn: g.txn,
                 object,
-                mode: w.mode,
+                mode: g.mode,
             });
+        }
+        if entry.is_idle() {
+            self.locks.remove(&object);
         }
     }
 }
@@ -1089,6 +1177,42 @@ mod tests {
         let mut journal = Vec::new();
         lt.drain_journal(&mut journal);
         assert!(journal.is_empty());
+    }
+
+    #[test]
+    fn entry_skips_waiters_and_asks_priority_only_on_conflict() {
+        let fifo = QueuePolicy::Fifo;
+        let mut e = LockEntry::default();
+        let no_priority = || -> Priority { panic!("priority asked without a conflict") };
+        assert_eq!(
+            e.request(fifo, TxnId(1), LockMode::Read, no_priority),
+            EntryOutcome::Granted
+        );
+        assert_eq!(
+            e.request(fifo, TxnId(2), LockMode::Write, || p(0)),
+            EntryOutcome::Queued
+        );
+        assert_eq!(
+            e.request(fifo, TxnId(3), LockMode::Read, || p(0)),
+            EntryOutcome::Queued
+        );
+        // With the writer T2 skipped (a poisoned victim), nothing blocks
+        // the reader T3 and it is due next.
+        let skip = |t: TxnId| t == TxnId(2);
+        let mut blockers = Vec::new();
+        e.blockers_into(fifo, TxnId(3), skip, &mut blockers);
+        assert!(blockers.is_empty());
+        assert_eq!(
+            e.grant_next(fifo, skip),
+            Some(EntryGrant {
+                txn: TxnId(3),
+                mode: LockMode::Read,
+                upgrade: false
+            })
+        );
+        assert_eq!(e.grant_next(fifo, skip), None);
+        assert!(e.withdraw(TxnId(2)));
+        e.check_invariants(ObjectId(0));
     }
 
     #[test]
