@@ -266,7 +266,14 @@ pub fn execute(spec: &RunSpec) -> RunMetrics {
 /// `sink` (pass `&mut sink` to keep it afterwards). With [`NullSink`] the
 /// instrumentation compiles away, so [`execute`] costs nothing extra.
 pub fn execute_with<S: EventSink<SimEvent>>(spec: &RunSpec, sink: S) -> RunMetrics {
-    let report = match &spec.sim {
+    RunMetrics::from_report(&report_with(spec, sink))
+}
+
+/// Runs one spec like [`execute_with`] and returns the full [`RunReport`]
+/// (monitor records, committed history, final stores) instead of the
+/// extracted metrics.
+pub fn report_with<S: EventSink<SimEvent>>(spec: &RunSpec, sink: S) -> RunReport {
+    match &spec.sim {
         SimSpec::SingleSite(s) => {
             let catalog = Catalog::new(s.db_size, 1, Placement::SingleSite);
             let workload = WorkloadSpec::builder()
@@ -326,8 +333,7 @@ pub fn execute_with<S: EventSink<SimEvent>>(spec: &RunSpec, sink: S) -> RunMetri
             }
             DistributedSimulator::new(builder.build(), catalog, &workload).run_with(spec.seed, sink)
         }
-    };
-    RunMetrics::from_report(&report)
+    }
 }
 
 /// Like [`execute`], but streams the run through the online invariant

@@ -57,28 +57,22 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use monitor::{AbortReason, Monitor, RunStats, SimEvent, SimEventKind};
+use monitor::{AbortReason, SimEvent, SimEventKind};
 use netsim::{CallId, CallTable, NetJournalEntry, Network, SendOutcome};
 use rtdb::{
-    Catalog, Coordinator, CoordinatorAction, LockMode, ObjectId, OpKind, Operation, Participant,
-    ParticipantAction, Placement, SiteId, TxnId, TxnSpec, Vote,
+    Catalog, Coordinator, CoordinatorAction, LockMode, ObjectId, OpKind, Participant,
+    ParticipantAction, Placement, SiteId, TxnId, TxnSpec, Vote, SYSTEM_TXN_BASE,
 };
 use starlite::{
-    Completion, Cpu, CpuJournalEntry, CpuJournalKind, CpuPolicy, CpuToken, Engine, EventId,
-    EventSink, FxHashMap, FxHashSet, Model, NullSink, Priority, Removed, Scheduler, SimTime,
+    Completion, Cpu, CpuPolicy, CpuToken, Engine, EventId, EventSink, FxHashMap, FxHashSet, Model,
+    NullSink, Priority, Removed, Scheduler, SimTime, StartedBurst,
 };
 use workload::{Generator, WorkloadSpec};
 
 use crate::distributed::{CeilingArchitecture, DistributedConfig};
-use crate::mvcc::{SnapshotId, VersionStore};
-use crate::protocols::{
-    LockProtocol, PriorityCeilingProtocol, ReleaseReason, RequestOutcome, Wakeup,
-};
-use crate::report::{RunReport, TemporalStats};
-
-/// System transactions (secondary-update appliers) get ids in a disjoint
-/// range so they can never collide with workload transactions.
-const SYSTEM_TXN_BASE: u64 = 1 << 48;
+use crate::protocols::{LockProtocol, PriorityCeilingProtocol, ReleaseReason, RequestOutcome};
+use crate::report::RunReport;
+use crate::site::{self, LoggedOp, SiteRuntime};
 
 /// Commit-decision retransmissions before the coordinator stops waiting
 /// for acknowledgements and finalizes anyway (fault mode only).
@@ -104,7 +98,10 @@ enum Message {
     LockPending {
         txn: TxnId,
         call: CallId,
-        lower_priority_blocker: Option<TxnId>,
+        /// The transaction the request waits behind, when the manager
+        /// named one; the home site decides whether it is a priority
+        /// inversion.
+        blocker: Option<TxnId>,
     },
     LockGrant {
         txn: TxnId,
@@ -223,7 +220,7 @@ struct DExec {
     step: usize,
     seq: Vec<(ObjectId, LockMode)>,
     deadline_ev: Option<EventId>,
-    oplog: Vec<(ObjectId, OpKind, SimTime, u64, SiteId)>,
+    oplog: Vec<LoggedOp>,
     coordinator: Option<Coordinator>,
     /// Commit decision broadcast; the transaction can no longer abort.
     decided: bool,
@@ -233,9 +230,9 @@ struct DExec {
     pending_call: Option<(CallId, EventId)>,
     /// Lock RPCs retried so far (per-transaction budget).
     attempts: u32,
-    /// Home-site view of "blocked at the manager" — pairs the monitor's
-    /// `on_block`/`on_unblock` exactly once even when `LockPending` or
-    /// wakeup grants are lost or duplicated.
+    /// Home-site view of "blocked at the manager" — pairs the runtime's
+    /// `block`/`unblock` exactly once even when `LockPending` or wakeup
+    /// grants are lost or duplicated.
     blocked: bool,
     /// A `RemoteRead` is outstanding; a reply that arrives while this is
     /// false is a duplicate and must not double-submit the CPU burst.
@@ -262,7 +259,9 @@ struct DistModel<S> {
     global_pcp: Option<PriorityCeilingProtocol>,
     /// Local architecture: one protocol instance per site.
     local_pcps: Vec<PriorityCeilingProtocol>,
-    monitor: Monitor,
+    /// Lifecycle recording, event emission and the per-site version
+    /// stores.
+    rt: SiteRuntime<S>,
     specs: FxHashMap<TxnId, TxnSpec>,
     exec: FxHashMap<TxnId, DExec>,
     /// Home-site view of each transaction's effective priority (global
@@ -287,29 +286,7 @@ struct DistModel<S> {
     next_system_id: u64,
     applied_updates: u64,
     stale_updates: u64,
-    /// Logical operation counter (event-execution order), keeping
-    /// histories totally ordered per copy even at zero delay.
-    op_seq: u64,
-    /// Per-site version stores when temporal measurement is on.
-    version_stores: Vec<VersionStore>,
-    /// Live snapshot pins (snapshot-reader mode): reader → (handle into
-    /// its home site's version store, pinned instant).
-    pins: FxHashMap<TxnId, (SnapshotId, SimTime)>,
-    snapshot_reads: u64,
-    unconstructible: u64,
-    lag_total: u128,
-    lag_max: u64,
-    replica_reads: u64,
-    replica_lag_total: u128,
-    replica_lag_max: u64,
-    reader_committed: u64,
-    reader_missed: u64,
-    versions_gced: u64,
-    /// Structured event sink ([`NullSink`] in the default configuration).
-    sink: S,
-    /// Scratch for draining protocol / CPU / network journals.
-    scratch_events: Vec<SimEventKind>,
-    scratch_cpu: Vec<CpuJournalEntry<TxnId>>,
+    /// Scratch for draining the network journal.
     scratch_net: Vec<NetJournalEntry>,
     /// Reusable control-flow queue for [`DistModel::pump_local`]; empty
     /// between events, retained so no event allocates it afresh.
@@ -345,10 +322,11 @@ impl<S: EventSink<SimEvent>> Model for DistModel<S> {
                 // message in flight towards a site that has since gone
                 // down is lost, not handled.
                 if self.net.deliver(to) {
-                    self.emit(sched.now(), to, SimEventKind::MsgDelivered { from, to });
+                    let kind = SimEventKind::MsgDelivered { from, to };
+                    self.rt.emit(sched.now(), to, kind);
                     self.on_message(to, msg, sched);
                 } else {
-                    self.emit(
+                    self.rt.emit(
                         sched.now(),
                         to,
                         SimEventKind::MsgDropped {
@@ -366,7 +344,10 @@ impl<S: EventSink<SimEvent>> Model for DistModel<S> {
             Ev::AckTimeout { txn } => self.on_ack_timeout(txn, sched),
             Ev::ReleaseRetry { txn } => self.on_release_retry(txn, sched),
         }
-        self.flush_kernel_journals();
+        for (i, cpu) in self.cpus.iter_mut().enumerate() {
+            self.rt.drain_cpu_journal(cpu, SiteId(i as u8));
+        }
+        self.drain_net_journal();
     }
 }
 
@@ -375,79 +356,21 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
         SiteId(0)
     }
 
-    /// Emits one unified event, stamped with the site it happened at. The
-    /// `S::ENABLED` check is a monomorphisation-time constant: with
-    /// [`NullSink`] this whole function compiles to nothing.
-    fn emit(&mut self, at: SimTime, site: SiteId, kind: SimEventKind) {
-        if S::ENABLED && self.sink.enabled() {
-            self.sink.emit(at, SimEvent::new(site, kind));
-        }
-    }
-
-    /// Forwards everything the given ceiling instance journalled during
-    /// the protocol call that just returned, stamped with `site` (the
-    /// manager site for the global architecture, the local site
-    /// otherwise).
-    fn drain_pcp(&mut self, site: SiteId, now: SimTime) {
-        if !S::ENABLED || !self.sink.enabled() {
+    /// Forwards the send events the network journalled, each stamped with
+    /// its own send instant at the sender.
+    fn drain_net_journal(&mut self) {
+        if !self.rt.tracing() {
             return;
-        }
-        let pcp = match self.config.architecture {
-            CeilingArchitecture::GlobalManager => {
-                self.global_pcp.as_mut().expect("global architecture")
-            }
-            CeilingArchitecture::LocalReplicated => &mut self.local_pcps[site.index()],
-        };
-        pcp.drain_events(&mut self.scratch_events);
-        for i in 0..self.scratch_events.len() {
-            let kind = self.scratch_events[i];
-            self.sink.emit(now, SimEvent::new(site, kind));
-        }
-        self.scratch_events.clear();
-    }
-
-    /// Forwards dispatch/preemption events from every site's CPU and send
-    /// events from the network; each journal entry carries its own
-    /// timestamp.
-    fn flush_kernel_journals(&mut self) {
-        if !S::ENABLED || !self.sink.enabled() {
-            return;
-        }
-        for site_idx in 0..self.cpus.len() {
-            self.cpus[site_idx].drain_journal(&mut self.scratch_cpu);
-            let site = SiteId(site_idx as u8);
-            for i in 0..self.scratch_cpu.len() {
-                let entry = &self.scratch_cpu[i];
-                let kind = match entry.kind {
-                    CpuJournalKind::Dispatched => SimEventKind::Dispatched { txn: entry.task },
-                    CpuJournalKind::Preempted => SimEventKind::Preempted { txn: entry.task },
-                };
-                let at = entry.at;
-                self.sink.emit(at, SimEvent::new(site, kind));
-            }
-            self.scratch_cpu.clear();
         }
         self.net.drain_journal(&mut self.scratch_net);
         for i in 0..self.scratch_net.len() {
-            let entry = self.scratch_net[i];
-            self.sink.emit(
-                entry.sent_at,
-                SimEvent::new(
-                    entry.from,
-                    SimEventKind::MsgSent {
-                        from: entry.from,
-                        to: entry.to,
-                    },
-                ),
-            );
+            let NetJournalEntry {
+                from, to, sent_at, ..
+            } = self.scratch_net[i];
+            self.rt
+                .emit(sent_at, from, SimEventKind::MsgSent { from, to });
         }
         self.scratch_net.clear();
-    }
-
-    fn next_op_seq(&mut self) -> u64 {
-        let seq = self.op_seq;
-        self.op_seq += 1;
-        seq
     }
 
     fn home(&self, txn: TxnId) -> SiteId {
@@ -462,7 +385,8 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
                 true
             }
             SendOutcome::DeliverTwice { at, again_at } => {
-                self.emit(now, from, SimEventKind::MsgDuplicated { from, to });
+                self.rt
+                    .emit(now, from, SimEventKind::MsgDuplicated { from, to });
                 sched.schedule(
                     at,
                     Ev::Deliver {
@@ -475,7 +399,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
                 true
             }
             SendOutcome::DroppedAtSend => {
-                self.emit(
+                self.rt.emit(
                     now,
                     from,
                     SimEventKind::MsgDropped {
@@ -489,7 +413,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
             // The loss is drawn at send time but modelled as an in-flight
             // loss; journal it at the sender, which is where it is known.
             SendOutcome::LostInFlight => {
-                self.emit(
+                self.rt.emit(
                     now,
                     from,
                     SimEventKind::MsgDropped {
@@ -544,41 +468,19 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
     }
 
     fn on_arrive(&mut self, txn: TxnId, sched: &mut Scheduler<Ev>) {
-        let home = self.specs[&txn].home_site;
-        let priority = self.specs[&txn].base_priority();
+        let now = sched.now();
+        let spec = &self.specs[&txn];
+        let home = spec.home_site;
+        self.rt.arrive(spec, home, now);
         if !self.net.is_site_up(home) {
             // The home site is down: the transaction never starts, but it
-            // must still be registered so the run's accounting closes
+            // is registered above so the run's accounting closes
             // (committed + missed + faulted + in_progress == generated).
-            self.emit(
-                sched.now(),
-                home,
-                SimEventKind::TxnArrived { txn, priority },
-            );
-            self.monitor.register(&self.specs[&txn]);
-            self.monitor.on_fault_abort(txn, sched.now());
-            self.emit(
-                sched.now(),
-                home,
-                SimEventKind::TxnAborted {
-                    txn,
-                    reason: AbortReason::SiteFailed,
-                },
-            );
+            self.rt.abort(txn, home, now, AbortReason::SiteFailed);
             return;
         }
-        self.emit(
-            sched.now(),
-            home,
-            SimEventKind::TxnArrived { txn, priority },
-        );
-        self.monitor.register(&self.specs[&txn]);
-        self.monitor.on_start(txn, sched.now());
-        self.emit(sched.now(), home, SimEventKind::TxnStarted { txn });
-        let (deadline, base_prio) = {
-            let spec = &self.specs[&txn];
-            (spec.deadline, spec.base_priority())
-        };
+        self.rt.start(txn, home, now);
+        let (deadline, base_prio) = (spec.deadline, spec.base_priority());
         let deadline_ev = sched.schedule(deadline, Ev::Deadline(txn));
         let mut exec = self.take_exec();
         exec.deadline_ev = Some(deadline_ev);
@@ -598,9 +500,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
                     // home replica's version store instead of registering
                     // with the ceiling manager.
                     let pin = self.specs[&txn].arrival;
-                    let id = self.version_stores[home.index()].pin(pin);
-                    self.pins.insert(txn, (id, pin));
-                    self.emit(sched.now(), home, SimEventKind::SnapshotPinned { txn, pin });
+                    self.rt.pin(home, txn, pin, now);
                 } else {
                     self.local_pcps[home.index()].register(&self.specs[&txn]);
                 }
@@ -615,7 +515,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
     /// read-only workload transactions only).
     fn is_snapshot_reader(&self, txn: TxnId) -> bool {
         self.config.snapshot_readers
-            && !self.is_system(txn)
+            && !txn.is_system()
             && self.specs.get(&txn).is_some_and(|s| s.write_set.is_empty())
     }
 
@@ -644,30 +544,19 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
             self.finish_access_for(txn, site, sched);
             return;
         }
-        if let Some(burst) = self.cpus[site.index()].submit(txn, priority, cost, sched.now()) {
-            sched.schedule(
-                burst.finish_at,
-                Ev::BurstDone {
-                    site,
-                    token: burst.token,
-                },
-            );
-        }
+        let now = sched.now();
+        schedule_burst(
+            sched,
+            site,
+            self.cpus[site.index()].submit(txn, priority, cost, now),
+        );
     }
 
     fn on_burst_done(&mut self, site: SiteId, token: CpuToken, sched: &mut Scheduler<Ev>) {
         match self.cpus[site.index()].complete(token, sched.now()) {
             Completion::Stale => {}
             Completion::Finished { task, next } => {
-                if let Some(burst) = next {
-                    sched.schedule(
-                        burst.finish_at,
-                        Ev::BurstDone {
-                            site,
-                            token: burst.token,
-                        },
-                    );
-                }
+                schedule_burst(sched, site, next);
                 self.finish_access_for(task, site, sched);
             }
         }
@@ -699,7 +588,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
             }
         };
         if record_read {
-            let seq = self.next_op_seq();
+            let seq = self.rt.next_op_seq();
             let exec = self.exec.get_mut(&txn).expect("checked above");
             exec.oplog.push((object, OpKind::Read, now, seq, site));
         }
@@ -731,24 +620,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
         // Abort a 2PC still collecting votes.
         let voting_abort = exec.coordinator.as_mut().and_then(|c| c.on_vote_timeout());
         if let Some(CoordinatorAction::SendAbort(sites)) = voting_abort {
-            self.emit(
-                sched.now(),
-                home,
-                SimEventKind::TwoPcDecided { txn, commit: false },
-            );
-            for s in sites {
-                self.send(
-                    home,
-                    s,
-                    Message::Decision {
-                        txn,
-                        commit: false,
-                        writes: Vec::new(),
-                        coordinator: home,
-                    },
-                    sched,
-                );
-            }
+            self.decide(txn, &sites, false, sched);
         }
         // Close any open lock RPC.
         if let Some((call, timeout_ev)) =
@@ -760,26 +632,9 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
         if let Some(exec) = self.exec.remove(&txn) {
             self.recycle_exec(exec);
         }
-        self.monitor.on_miss(txn, sched.now());
-        self.emit(
-            sched.now(),
-            home,
-            SimEventKind::TxnAborted {
-                txn,
-                reason: AbortReason::DeadlineMissed,
-            },
-        );
-        if let Removed::WasRunning { next: Some(burst) } =
-            self.cpus[home.index()].remove(txn, sched.now())
-        {
-            sched.schedule(
-                burst.finish_at,
-                Ev::BurstDone {
-                    site: home,
-                    token: burst.token,
-                },
-            );
-        }
+        let now = sched.now();
+        self.rt.abort(txn, home, now, AbortReason::DeadlineMissed);
+        self.remove_from_cpu(txn, home, sched);
         match self.config.architecture {
             CeilingArchitecture::GlobalManager => {
                 self.send_release(txn, sched);
@@ -788,16 +643,21 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
                 if self.is_snapshot_reader(txn) {
                     // Never registered with the ceiling manager: just drop
                     // the pin so GC can move past it.
-                    self.reader_missed += 1;
-                    self.release_reader_pin(txn, home, sched.now());
+                    self.rt.temporal.reader_missed += 1;
+                    self.rt.release_pin(home, txn, now);
                     return;
                 }
-                let release =
-                    self.local_pcps[home.index()].release_all(txn, ReleaseReason::Finished);
-                self.drain_pcp(home, sched.now());
-                self.apply_local_release(home, release.wakeups, release.priority_updates, sched);
+                self.release_local(home, txn, sched);
                 self.pump_local(sched);
             }
+        }
+    }
+
+    /// Takes an aborted transaction off `site`'s CPU, dispatching the next
+    /// burst if it was running.
+    fn remove_from_cpu(&mut self, txn: TxnId, site: SiteId, sched: &mut Scheduler<Ev>) {
+        if let Removed::WasRunning { next } = self.cpus[site.index()].remove(txn, sched.now()) {
+            schedule_burst(sched, site, next);
         }
     }
 
@@ -821,6 +681,40 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
             .unwrap_or(self.config.lock_timeout_slack)
     }
 
+    /// Announces `txn`'s two-phase-commit decision at its home and sends it
+    /// to `sites`.
+    fn decide(&mut self, txn: TxnId, sites: &[SiteId], commit: bool, sched: &mut Scheduler<Ev>) {
+        let kind = SimEventKind::TwoPcDecided { txn, commit };
+        self.rt.emit(sched.now(), self.home(txn), kind);
+        self.send_decision(txn, sites, commit, sched);
+    }
+
+    /// Sends `txn`'s decision from its home to `sites`; a commit carries
+    /// the write set.
+    fn send_decision(
+        &mut self,
+        txn: TxnId,
+        sites: &[SiteId],
+        commit: bool,
+        sched: &mut Scheduler<Ev>,
+    ) {
+        let home = self.home(txn);
+        let writes = if commit {
+            self.specs[&txn].write_set.clone()
+        } else {
+            Vec::new()
+        };
+        for &s in sites {
+            let msg = Message::Decision {
+                txn,
+                commit,
+                writes: writes.clone(),
+                coordinator: home,
+            };
+            self.send(home, s, msg, sched);
+        }
+    }
+
     /// Sends `ReleaseTxn` towards the manager; in fault mode the release
     /// is retransmitted until the manager acknowledges it.
     fn send_release(&mut self, txn: TxnId, sched: &mut Scheduler<Ev>) {
@@ -839,12 +733,9 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
     /// paths that release directly).
     fn release_at_manager(&mut self, txn: TxnId, sched: &mut Scheduler<Ev>) {
         let manager = self.manager_site();
-        let release = self
-            .global_pcp
-            .as_mut()
-            .expect("global architecture")
-            .release_all(txn, ReleaseReason::Finished);
-        self.drain_pcp(manager, sched.now());
+        let pcp = self.global_pcp.as_mut().expect("global architecture");
+        let release = pcp.release_all(txn, ReleaseReason::Finished);
+        self.rt.drain_protocol_journal(pcp, manager, sched.now());
         for w in &release.wakeups {
             let waiter_home = self.home(w.txn);
             self.send(
@@ -880,7 +771,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
             return;
         }
         let home = self.home(txn);
-        self.emit(
+        self.rt.emit(
             sched.now(),
             home,
             SimEventKind::RpcRetried {
@@ -911,30 +802,13 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
             self.calls.close(call);
         }
         let home = self.home(txn);
-        self.monitor.on_fault_abort(txn, now);
-        self.emit(
-            now,
-            home,
-            SimEventKind::TxnAborted {
-                txn,
-                reason: AbortReason::SiteFailed,
-            },
-        );
-        if let Removed::WasRunning { next: Some(burst) } = self.cpus[home.index()].remove(txn, now)
-        {
-            sched.schedule(
-                burst.finish_at,
-                Ev::BurstDone {
-                    site: home,
-                    token: burst.token,
-                },
-            );
-        }
+        self.rt.abort(txn, home, now, AbortReason::SiteFailed);
+        self.remove_from_cpu(txn, home, sched);
         self.recycle_exec(exec);
         if self.is_snapshot_reader(txn) {
             // A crashing reader drops its pin; the store's state is reset
             // with the site anyway, but the pin map must not leak.
-            self.release_reader_pin(txn, home, now);
+            self.rt.release_pin(home, txn, now);
         }
         if self.config.architecture == CeilingArchitecture::GlobalManager
             && self.net.is_site_up(self.manager_site())
@@ -953,7 +827,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
             return; // overlapping crash windows
         }
         self.net.set_site_up(site, false);
-        self.emit(sched.now(), site, SimEventKind::SiteCrashed);
+        self.rt.emit(sched.now(), site, SimEventKind::SiteCrashed);
         let now = sched.now();
         let mut residents: Vec<TxnId> = self
             .exec
@@ -963,7 +837,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
             .collect();
         residents.sort_unstable();
         for txn in residents {
-            if self.is_system(txn) {
+            if txn.is_system() {
                 // Secondary-update appliers die silently with the site.
                 if let Some(exec) = self.exec.remove(&txn) {
                     self.recycle_exec(exec);
@@ -988,11 +862,11 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
                 if site == self.manager_site() {
                     // The manager's lock state dies with it; survivors
                     // drain via lock-RPC timeouts and their deadlines.
-                    self.global_pcp = Some(fresh_pcp(self.sink.enabled()));
+                    self.global_pcp = Some(fresh_pcp(self.rt.tracing()));
                 }
             }
             CeilingArchitecture::LocalReplicated => {
-                self.local_pcps[site.index()] = fresh_pcp(self.sink.enabled());
+                self.local_pcps[site.index()] = fresh_pcp(self.rt.tracing());
             }
         }
         // Orphaned 2PC participant state at the crashed site. Resolution
@@ -1010,7 +884,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
             return;
         }
         self.net.set_site_up(site, true);
-        self.emit(sched.now(), site, SimEventKind::SiteRecovered);
+        self.rt.emit(sched.now(), site, SimEventKind::SiteRecovered);
         if self.config.architecture == CeilingArchitecture::LocalReplicated {
             for s in self.catalog.sites() {
                 if s != site {
@@ -1033,25 +907,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
         let Some(CoordinatorAction::SendAbort(sites)) = coordinator.on_vote_timeout() else {
             return; // decided in time
         };
-        let home = self.home(txn);
-        self.emit(
-            sched.now(),
-            home,
-            SimEventKind::TwoPcDecided { txn, commit: false },
-        );
-        for s in sites {
-            self.send(
-                home,
-                s,
-                Message::Decision {
-                    txn,
-                    commit: false,
-                    writes: Vec::new(),
-                    coordinator: home,
-                },
-                sched,
-            );
-        }
+        self.decide(txn, &sites, false, sched);
         self.fault_abort(txn, sched);
     }
 
@@ -1076,21 +932,9 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
         exec.ack_attempts += 1;
         let attempt = exec.ack_attempts;
         let home = self.home(txn);
-        let writes = self.specs[&txn].write_set.clone();
-        self.emit(sched.now(), home, SimEventKind::RpcRetried { txn, attempt });
-        for s in &pending {
-            self.send(
-                home,
-                *s,
-                Message::Decision {
-                    txn,
-                    commit: true,
-                    writes: writes.clone(),
-                    coordinator: home,
-                },
-                sched,
-            );
-        }
+        self.rt
+            .emit(sched.now(), home, SimEventKind::RpcRetried { txn, attempt });
+        self.send_decision(txn, &pending, true, sched);
         let timeout = self.twopc_timeout(home, &pending);
         sched.schedule_after(timeout, Ev::AckTimeout { txn });
     }
@@ -1138,7 +982,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
             // a lifecycle bug, not a race. Release builds lose the
             // assertion, so report through the event stream too — the
             // invariant oracle turns the anomaly into a violation.
-            self.emit(
+            self.rt.emit(
                 sched.now(),
                 self.manager_site(),
                 SimEventKind::ProtocolAnomaly {
@@ -1150,7 +994,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
             return;
         };
         if !self.exec.contains_key(&txn) {
-            self.emit(
+            self.rt.emit(
                 sched.now(),
                 self.home(txn),
                 SimEventKind::ProtocolAnomaly {
@@ -1169,7 +1013,8 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
             let (object, mode) = exec.seq[exec.step];
             let home = self.home(txn);
             let manager = self.manager_site();
-            self.emit(sched.now(), home, SimEventKind::RpcRetried { txn, attempt });
+            self.rt
+                .emit(sched.now(), home, SimEventKind::RpcRetried { txn, attempt });
             if self.faults_active {
                 // The lost message may have been the registration itself;
                 // the manager ignores a duplicate.
@@ -1205,16 +1050,9 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
         if let Some(exec) = self.exec.remove(&txn) {
             self.recycle_exec(exec);
         }
-        self.monitor.on_miss(txn, sched.now());
         let home = self.home(txn);
-        self.emit(
-            sched.now(),
-            home,
-            SimEventKind::TxnAborted {
-                txn,
-                reason: AbortReason::DeadlineMissed,
-            },
-        );
+        self.rt
+            .abort(txn, home, sched.now(), AbortReason::DeadlineMissed);
         // Best-effort release towards the (possibly dead) manager.
         self.send_release(txn, sched);
     }
@@ -1241,7 +1079,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
             unreachable!("a fresh coordinator always sends prepare");
         };
         self.exec.get_mut(&txn).expect("live txn").coordinator = Some(coordinator);
-        self.emit(
+        self.rt.emit(
             sched.now(),
             home,
             SimEventKind::TwoPcStarted {
@@ -1274,33 +1112,16 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
         if let Some(ev) = exec.deadline_ev {
             sched.cancel(ev);
         }
-        for &(object, kind, at, seq, site) in &exec.oplog {
-            self.monitor.record_op(Operation {
-                txn,
-                object,
-                kind,
-                at,
-                seq,
-                site,
-            });
-        }
-        let deadline_passed = exec.deadline_passed;
-        self.recycle_exec(exec);
-        let home = self.home(txn);
-        if deadline_passed {
-            self.monitor.on_miss(txn, sched.now());
-            self.emit(
-                sched.now(),
-                home,
-                SimEventKind::TxnAborted {
-                    txn,
-                    reason: AbortReason::DeadlineMissed,
-                },
-            );
+        let (home, now) = (self.home(txn), sched.now());
+        // A decided transaction's writes stand even when its deadline
+        // passed: they enter the history either way.
+        if exec.deadline_passed {
+            self.rt.record_ops(txn, &exec.oplog);
+            self.rt.abort(txn, home, now, AbortReason::DeadlineMissed);
         } else {
-            self.monitor.on_commit(txn, sched.now());
-            self.emit(sched.now(), home, SimEventKind::TxnCommitted { txn });
+            self.rt.commit(txn, home, now, &exec.oplog);
         }
+        self.recycle_exec(exec);
         self.send_release(txn, sched);
     }
 
@@ -1360,25 +1181,19 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
             self.submit_cpu(txn, home, sched);
             return;
         }
-        let result = self.local_pcps[home.index()].request(txn, object, mode);
-        self.drain_pcp(home, sched.now());
-        self.apply_local_priority_updates(home, &result.priority_updates, sched);
+        let now = sched.now();
+        let pcp = &mut self.local_pcps[home.index()];
+        let result = pcp.request(txn, object, mode);
+        self.rt.drain_protocol_journal(pcp, home, now);
+        self.set_priorities(home, &result.priority_updates, sched);
         match result.outcome {
             RequestOutcome::Granted => {
                 if mode == LockMode::Read {
-                    self.probe_snapshot(txn, object, home, sched.now());
+                    self.probe_snapshot(txn, object, home, now);
                 }
                 self.submit_cpu(txn, home, sched)
             }
-            RequestOutcome::Blocked { blocker } => {
-                if !self.is_system(txn) {
-                    let lower = blocker.filter(|b| {
-                        self.base_priority_of(*b)
-                            .is_some_and(|bp| bp < self.specs[&txn].base_priority())
-                    });
-                    self.monitor.on_block(txn, sched.now(), lower);
-                }
-            }
+            RequestOutcome::Blocked { blocker } => self.rt.block(&self.specs, txn, now, blocker),
             RequestOutcome::Deadlock { .. } => {
                 unreachable!("the ceiling protocol is deadlock-free")
             }
@@ -1390,11 +1205,10 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
     /// staleness ([`Self::probe_snapshot`] shares the lag bookkeeping).
     /// An evicted prefix emits nothing — the GC invariant covers it.
     fn snapshot_read_local(&mut self, txn: TxnId, object: ObjectId, site: SiteId, now: SimTime) {
-        let (_, pin) = self.pins[&txn];
+        let pin = self.rt.pinned_at(site, txn);
         self.probe_snapshot(txn, object, site, now);
-        let read = self.version_stores[site.index()].read_at(object, pin);
-        if let Some(version) = read.number() {
-            self.emit(
+        if let Some(version) = self.rt.store(site).read_at(object, pin).number() {
+            self.rt.emit(
                 now,
                 site,
                 SimEventKind::SnapshotRead {
@@ -1406,36 +1220,11 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
         }
     }
 
-    /// Closes a snapshot reader's pin and sweeps version chains the
-    /// released watermark now lets GC trim at its home site.
-    fn release_reader_pin(&mut self, txn: TxnId, site: SiteId, now: SimTime) {
-        let Some((id, _)) = self.pins.remove(&txn) else {
-            return;
-        };
-        let vs = &mut self.version_stores[site.index()];
-        vs.unpin(id);
-        for (object, through) in vs.gc() {
-            self.versions_gced += 1;
-            self.emit(now, site, SimEventKind::VersionGced { object, through });
-        }
-    }
-
     fn commit_local(&mut self, txn: TxnId, sched: &mut Scheduler<Ev>) {
         let now = sched.now();
         let exec = self.exec.remove(&txn).expect("committing unknown txn");
         if let Some(ev) = exec.deadline_ev {
             sched.cancel(ev);
-        }
-        if self.is_snapshot_reader(txn) {
-            // Nothing written, nothing locked, no history recorded: the
-            // snapshot read a past serialised prefix of its replica.
-            let home = self.home(txn);
-            self.recycle_exec(exec);
-            self.monitor.on_commit(txn, now);
-            self.emit(now, home, SimEventKind::TxnCommitted { txn });
-            self.release_reader_pin(txn, home, now);
-            self.reader_committed += 1;
-            return;
         }
         let (home, deadline, writes) = {
             let spec = &self.specs[&txn];
@@ -1454,40 +1243,8 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
             let value = self.stores[home.index()].read(obj).value + 1;
             self.stores[home.index()].apply_write(obj, value, txn, now);
             let version = self.stores[home.index()].read(obj).version;
-            let gced = self
-                .version_stores
-                .get_mut(home.index())
-                .and_then(|vs| vs.install_if_newer(obj, value, version, txn, now))
-                .and_then(|i| i.evicted_through);
-            self.emit(
-                now,
-                home,
-                SimEventKind::VersionInstalled {
-                    object: obj,
-                    version,
-                    writer: txn,
-                },
-            );
-            if let Some(through) = gced {
-                self.versions_gced += 1;
-                self.emit(
-                    now,
-                    home,
-                    SimEventKind::VersionGced {
-                        object: obj,
-                        through,
-                    },
-                );
-            }
-            let seq = self.next_op_seq();
-            self.monitor.record_op(Operation {
-                txn,
-                object: obj,
-                kind: OpKind::Write,
-                at: now,
-                seq,
-                site: home,
-            });
+            self.rt.install(home, obj, value, version, txn, now);
+            self.rt.record_write(txn, obj, home, now);
             for s in self.catalog.sites() {
                 if s != home {
                     self.send(
@@ -1505,22 +1262,16 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
                 }
             }
         }
-        for &(object, kind, at, seq, site) in &exec.oplog {
-            self.monitor.record_op(Operation {
-                txn,
-                object,
-                kind,
-                at,
-                seq,
-                site,
-            });
-        }
+        // A snapshot reader logged nothing and locked nothing: it read a
+        // past serialised prefix of its replica.
+        self.rt.commit(txn, home, now, &exec.oplog);
         self.recycle_exec(exec);
-        self.monitor.on_commit(txn, now);
-        self.emit(now, home, SimEventKind::TxnCommitted { txn });
-        let release = self.local_pcps[home.index()].release_all(txn, ReleaseReason::Finished);
-        self.drain_pcp(home, now);
-        self.apply_local_release(home, release.wakeups, release.priority_updates, sched);
+        if self.is_snapshot_reader(txn) {
+            self.rt.release_pin(home, txn, now);
+            self.rt.temporal.reader_committed += 1;
+        } else {
+            self.release_local(home, txn, sched);
+        }
     }
 
     /// A propagated update arrived: run it as a short system transaction
@@ -1577,59 +1328,21 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
         sched: &mut Scheduler<Ev>,
     ) {
         let now = sched.now();
-        let installed = self.stores[site.index()].install_version(
-            apply.object,
-            apply.value,
-            apply.version,
-            apply.writer,
-            now,
-        );
-        if installed {
+        let SystemApply {
+            object,
+            value,
+            version,
+            writer,
+            repair,
+        } = apply;
+        let store = &mut self.stores[site.index()];
+        if store.install_version(object, value, version, writer, now) {
             self.applied_updates += 1;
-            let gced = self
-                .version_stores
-                .get_mut(site.index())
-                .and_then(|vs| {
-                    vs.install_if_newer(apply.object, apply.value, apply.version, apply.writer, now)
-                })
-                .and_then(|i| i.evicted_through);
-            self.emit(
-                now,
-                site,
-                SimEventKind::VersionInstalled {
-                    object: apply.object,
-                    version: apply.version,
-                    writer: apply.writer,
-                },
-            );
-            if let Some(through) = gced {
-                self.versions_gced += 1;
-                self.emit(
-                    now,
-                    site,
-                    SimEventKind::VersionGced {
-                        object: apply.object,
-                        through,
-                    },
-                );
-            }
-            let seq = self.next_op_seq();
-            self.monitor.record_op(Operation {
-                txn,
-                object: apply.object,
-                kind: OpKind::Write,
-                at: now,
-                seq,
-                site,
-            });
-            if apply.repair {
-                self.emit(
-                    now,
-                    site,
-                    SimEventKind::ReplicaRepaired {
-                        object: apply.object,
-                    },
-                );
+            self.rt.install(site, object, value, version, writer, now);
+            self.rt.record_write(txn, object, site, now);
+            if repair {
+                let kind = SimEventKind::ReplicaRepaired { object };
+                self.rt.emit(now, site, kind);
             }
         } else {
             self.stale_updates += 1;
@@ -1640,56 +1353,42 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
         if let Some(spec) = self.specs.remove(&txn) {
             self.spec_pool.push(spec);
         }
-        let release = self.local_pcps[site.index()].release_all(txn, ReleaseReason::Finished);
-        self.drain_pcp(site, now);
-        self.apply_local_release(site, release.wakeups, release.priority_updates, sched);
+        self.release_local(site, txn, sched);
         self.pump_local(sched);
     }
 
-    fn apply_local_release(
-        &mut self,
-        site: SiteId,
-        wakeups: Vec<Wakeup>,
-        priority_updates: Vec<(TxnId, Priority)>,
-        sched: &mut Scheduler<Ev>,
-    ) {
-        self.apply_local_priority_updates(site, &priority_updates, sched);
-        for w in wakeups {
-            if !self.is_system(w.txn) {
-                self.monitor.on_unblock(w.txn, sched.now());
-            }
+    /// Releases everything `txn` holds at `site`'s ceiling manager and
+    /// queues the wakeups.
+    fn release_local(&mut self, site: SiteId, txn: TxnId, sched: &mut Scheduler<Ev>) {
+        let now = sched.now();
+        let pcp = &mut self.local_pcps[site.index()];
+        let release = pcp.release_all(txn, ReleaseReason::Finished);
+        self.rt.drain_protocol_journal(pcp, site, now);
+        self.set_priorities(site, &release.priority_updates, sched);
+        for w in release.wakeups {
+            self.rt.unblock(w.txn, now);
             self.pending_local.push_back(PendingWork::Resume(w.txn));
         }
     }
 
-    fn apply_local_priority_updates(
+    /// Applies effective-priority changes to `site`'s CPU.
+    fn set_priorities(
         &mut self,
         site: SiteId,
         updates: &[(TxnId, Priority)],
         sched: &mut Scheduler<Ev>,
     ) {
+        let now = sched.now();
         for &(t, p) in updates {
-            if let Some(burst) = self.cpus[site.index()].set_priority(t, p, sched.now()) {
-                sched.schedule(
-                    burst.finish_at,
-                    Ev::BurstDone {
-                        site,
-                        token: burst.token,
-                    },
-                );
-            }
+            schedule_burst(sched, site, self.cpus[site.index()].set_priority(t, p, now));
         }
-    }
-
-    fn is_system(&self, txn: TxnId) -> bool {
-        txn.0 >= SYSTEM_TXN_BASE
     }
 
     /// Probes the temporally consistent view for a read-only transaction:
     /// can a snapshot pinned at its arrival be constructed from the
     /// retained versions, and how stale is it?
     fn probe_snapshot(&mut self, txn: TxnId, object: ObjectId, site: SiteId, now: SimTime) {
-        if self.version_stores.is_empty() || self.is_system(txn) {
+        if !self.rt.versioned() || txn.is_system() {
             return;
         }
         let spec = &self.specs[&txn];
@@ -1697,29 +1396,27 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
             return; // only read-only queries pin snapshots
         }
         let pin = spec.arrival;
-        self.snapshot_reads += 1;
+        self.rt.temporal.snapshot_reads += 1;
         // Replication lag: how far the local replica's newest version
         // trails the primary copy's newest version right now.
         let primary = self.catalog.primary_site(object);
         if primary != site {
-            self.replica_reads += 1;
-            let primary_latest = self.version_stores[primary.index()].latest(object);
-            let local_latest = self.version_stores[site.index()].latest(object);
+            let primary_latest = self.rt.store(primary).latest(object);
+            let local_latest = self.rt.store(site).latest(object);
             let lag = match (primary_latest, local_latest) {
                 (Some(p), Some(l)) => p.at.saturating_since(l.at),
                 (Some(p), None) => p.at.saturating_since(SimTime::ZERO),
                 _ => starlite::SimDuration::ZERO,
             };
-            self.replica_lag_total += lag.ticks() as u128;
-            self.replica_lag_max = self.replica_lag_max.max(lag.ticks());
+            self.rt.temporal.replica_lag(lag.ticks());
         }
-        let vs = &self.version_stores[site.index()];
+        let vs = self.rt.store(site);
         if vs.read_at(object, pin).is_evicted() {
             // The version the pin needs was evicted (or never propagated
             // here): genuinely unconstructible. A pin before the first
             // retained version with nothing evicted reads the object's
             // initial value instead.
-            self.unconstructible += 1;
+            self.rt.temporal.unconstructible += 1;
             return;
         }
         // Staleness of the constructible snapshot: the version the pinned
@@ -1729,7 +1426,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
         // paper's "time lag in the distributed versions": it grows with
         // the propagation delay, not with how rarely the object happens
         // to be written.
-        let needed = self.version_stores[primary.index()].read_at(object, pin);
+        let needed = self.rt.store(primary).read_at(object, pin);
         let lag = match needed.version() {
             // Nothing committed anywhere by the pin: the initial value is
             // fresh everywhere.
@@ -1752,12 +1449,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
                 }
             },
         };
-        self.lag_total += lag as u128;
-        self.lag_max = self.lag_max.max(lag);
-    }
-
-    fn base_priority_of(&self, txn: TxnId) -> Option<Priority> {
-        self.specs.get(&txn).map(|s| s.base_priority())
+        self.rt.temporal.lag(lag);
     }
 
     // ----- message handling ---------------------------------------------
@@ -1799,19 +1491,16 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
                             Message::LockPending {
                                 txn,
                                 call,
-                                lower_priority_blocker: None,
+                                blocker: None,
                             },
                             sched,
                         );
                         return;
                     }
                 }
-                let result = self
-                    .global_pcp
-                    .as_mut()
-                    .expect("global architecture")
-                    .request(txn, object, mode);
-                self.drain_pcp(to, sched.now());
+                let pcp = self.global_pcp.as_mut().expect("global architecture");
+                let result = pcp.request(txn, object, mode);
+                self.rt.drain_protocol_journal(pcp, to, sched.now());
                 self.broadcast_priority_updates(result.priority_updates, sched);
                 match result.outcome {
                     RequestOutcome::Granted => {
@@ -1826,34 +1515,15 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
                         );
                     }
                     RequestOutcome::Blocked { blocker } => {
-                        let pcp = self.global_pcp.as_ref().expect("global architecture");
-                        let lower = blocker.filter(|b| {
-                            self.specs.get(b).is_some_and(|bs| {
-                                bs.base_priority() < self.specs[&txn].base_priority()
-                            })
-                        });
-                        let _ = pcp;
-                        self.send(
-                            to,
-                            from,
-                            Message::LockPending {
-                                txn,
-                                call,
-                                lower_priority_blocker: lower,
-                            },
-                            sched,
-                        );
+                        let pending = Message::LockPending { txn, call, blocker };
+                        self.send(to, from, pending, sched);
                     }
                     RequestOutcome::Deadlock { .. } => {
                         unreachable!("the ceiling protocol is deadlock-free")
                     }
                 }
             }
-            Message::LockPending {
-                txn,
-                call,
-                lower_priority_blocker,
-            } => {
+            Message::LockPending { txn, call, blocker } => {
                 let Some((ctx, _)) = self.calls.close(call) else {
                     return; // timed out already
                 };
@@ -1866,8 +1536,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
                 }
                 if !exec.blocked {
                     exec.blocked = true;
-                    self.monitor
-                        .on_block(txn, sched.now(), lower_priority_blocker);
+                    self.rt.block(&self.specs, txn, sched.now(), blocker);
                 }
             }
             Message::LockGrant { txn, call } => {
@@ -1895,7 +1564,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
                         sched.cancel(timeout_ev);
                         self.calls.close(open_call);
                     }
-                    self.monitor.on_unblock(txn, sched.now());
+                    self.rt.unblock(txn, sched.now());
                 }
                 let Some(exec) = self.exec.get(&txn) else {
                     return; // deadline expired while the grant was in flight
@@ -1923,16 +1592,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
             }
             Message::PriorityUpdate { txn, priority } => {
                 self.eff_prio.insert(txn, priority);
-                if let Some(burst) = self.cpus[to.index()].set_priority(txn, priority, sched.now())
-                {
-                    sched.schedule(
-                        burst.finish_at,
-                        Ev::BurstDone {
-                            site: to,
-                            token: burst.token,
-                        },
-                    );
-                }
+                self.set_priorities(to, &[(txn, priority)], sched);
             }
             Message::ReleaseTxn { txn } => {
                 self.release_at_manager(txn, sched);
@@ -1952,7 +1612,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
                 // Serve the read against the primary copy; the lock is held
                 // at the manager, so this access is safe.
                 let now = sched.now();
-                let served_seq = self.next_op_seq();
+                let served_seq = self.rt.next_op_seq();
                 self.send(
                     to,
                     from,
@@ -2002,7 +1662,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
                 let ParticipantAction::Reply(vote) = participant.on_prepare(true) else {
                     unreachable!("prepare always yields a vote");
                 };
-                self.emit(
+                self.rt.emit(
                     sched.now(),
                     to,
                     SimEventKind::TwoPcVoted {
@@ -2032,53 +1692,16 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
                 match coordinator.on_vote(site, vote) {
                     Some(CoordinatorAction::SendCommit(sites)) => {
                         exec.decided = true;
-                        let writes = self.specs[&txn].write_set.clone();
-                        let home = self.home(txn);
-                        self.emit(
-                            sched.now(),
-                            home,
-                            SimEventKind::TwoPcDecided { txn, commit: true },
-                        );
-                        for s in &sites {
-                            self.send(
-                                home,
-                                *s,
-                                Message::Decision {
-                                    txn,
-                                    commit: true,
-                                    writes: writes.clone(),
-                                    coordinator: home,
-                                },
-                                sched,
-                            );
-                        }
+                        self.decide(txn, &sites, true, sched);
                         if self.faults_active {
                             // Lost decisions or acks must not wedge a
                             // decided transaction.
-                            let timeout = self.twopc_timeout(home, &sites);
+                            let timeout = self.twopc_timeout(self.home(txn), &sites);
                             sched.schedule_after(timeout, Ev::AckTimeout { txn });
                         }
                     }
                     Some(CoordinatorAction::SendAbort(sites)) => {
-                        let home = self.home(txn);
-                        self.emit(
-                            sched.now(),
-                            home,
-                            SimEventKind::TwoPcDecided { txn, commit: false },
-                        );
-                        for s in sites {
-                            self.send(
-                                home,
-                                s,
-                                Message::Decision {
-                                    txn,
-                                    commit: false,
-                                    writes: Vec::new(),
-                                    coordinator: home,
-                                },
-                                sched,
-                            );
-                        }
+                        self.decide(txn, &sites, false, sched);
                     }
                     _ => {}
                 }
@@ -2110,7 +1733,8 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
                 };
                 self.resolved_participants.insert((txn, to));
                 let action = participant.on_decision(commit);
-                self.emit(sched.now(), to, SimEventKind::TwoPcResolved { txn, commit });
+                self.rt
+                    .emit(sched.now(), to, SimEventKind::TwoPcResolved { txn, commit });
                 let mut applied = Vec::new();
                 if action == ParticipantAction::CommitAndAck {
                     let now = sched.now();
@@ -2119,7 +1743,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
                             let value = self.stores[to.index()].read(obj).value + 1;
                             self.stores[to.index()].apply_write(obj, value, txn, now);
                             let version = self.stores[to.index()].read(obj).version;
-                            self.emit(
+                            self.rt.emit(
                                 now,
                                 to,
                                 SimEventKind::VersionInstalled {
@@ -2128,7 +1752,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
                                     writer: txn,
                                 },
                             );
-                            let seq = self.next_op_seq();
+                            let seq = self.rt.next_op_seq();
                             applied.push((obj, now, seq));
                         }
                     }
@@ -2226,6 +1850,19 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
     }
 }
 
+/// Schedules the completion of a burst that just started on `site`'s CPU.
+fn schedule_burst(sched: &mut Scheduler<Ev>, site: SiteId, burst: Option<StartedBurst<TxnId>>) {
+    if let Some(b) = burst {
+        sched.schedule(
+            b.finish_at,
+            Ev::BurstDone {
+                site,
+                token: b.token,
+            },
+        );
+    }
+}
+
 /// The distributed simulator: architecture, configuration, catalog and
 /// workload in; [`RunReport`] out.
 pub struct DistributedSimulator<'a> {
@@ -2309,22 +1946,11 @@ pub fn run_transactions_distributed_with<S: EventSink<SimEvent>>(
 ) -> RunReport {
     let sites = catalog.site_count();
     let delays = config.topology.delay_matrix(sites, config.comm_delay);
-    let mut specs = FxHashMap::default();
-    let mut arrivals = Vec::with_capacity(txns.len());
-    for spec in txns {
-        assert!(
-            spec.id.0 < SYSTEM_TXN_BASE,
-            "transaction id in system range"
-        );
-        arrivals.push((spec.arrival, spec.id));
-        let prev = specs.insert(spec.id, spec);
-        assert!(prev.is_none(), "duplicate transaction id");
-    }
-    let tracing = sink.enabled();
+    let (specs, arrivals) = site::intake(txns);
+    let rt = SiteRuntime::new(sink, sites as usize, config.temporal_versions);
     // Values needed after `config` moves into the model.
     let fail_site = config.fail_site;
     let crash_windows = config.faults.crashes.clone();
-    let temporal_versions = config.temporal_versions;
     let faults_active = fail_site.is_some() || !config.faults.is_noop();
     let mut net = Network::with_faults(delays, config.faults.link);
     let mut cpus: Vec<Cpu<TxnId>> = (0..sites)
@@ -2340,15 +1966,12 @@ pub fn run_transactions_distributed_with<S: EventSink<SimEvent>>(
             .map(|_| PriorityCeilingProtocol::read_write())
             .collect::<Vec<_>>(),
     };
-    if tracing {
+    if rt.tracing() {
         net.set_tracing(true);
         for cpu in &mut cpus {
             cpu.set_tracing(true);
         }
-        if let Some(pcp) = global_pcp.as_mut() {
-            pcp.set_tracing(true);
-        }
-        for pcp in &mut local_pcps {
+        for pcp in global_pcp.iter_mut().chain(&mut local_pcps) {
             pcp.set_tracing(true);
         }
     }
@@ -2362,7 +1985,7 @@ pub fn run_transactions_distributed_with<S: EventSink<SimEvent>>(
             .collect(),
         global_pcp,
         local_pcps,
-        monitor: Monitor::new(),
+        rt,
         specs,
         exec: FxHashMap::default(),
         eff_prio: FxHashMap::default(),
@@ -2374,25 +1997,6 @@ pub fn run_transactions_distributed_with<S: EventSink<SimEvent>>(
         next_system_id: 0,
         applied_updates: 0,
         stale_updates: 0,
-        op_seq: 0,
-        version_stores: match temporal_versions {
-            Some(keep) => (0..sites).map(|_| VersionStore::new(keep)).collect(),
-            None => Vec::new(),
-        },
-        pins: FxHashMap::default(),
-        snapshot_reads: 0,
-        unconstructible: 0,
-        lag_total: 0,
-        lag_max: 0,
-        replica_reads: 0,
-        replica_lag_total: 0,
-        replica_lag_max: 0,
-        reader_committed: 0,
-        reader_missed: 0,
-        versions_gced: 0,
-        sink,
-        scratch_events: Vec::new(),
-        scratch_cpu: Vec::new(),
         scratch_net: Vec::new(),
         pending_local: VecDeque::new(),
         spec_pool: Vec::new(),
@@ -2413,9 +2017,7 @@ pub fn run_transactions_distributed_with<S: EventSink<SimEvent>>(
             engine.scheduler_mut().schedule(up_at, Ev::SiteUp(w.site));
         }
     }
-    for (arrival, id) in arrivals {
-        engine.scheduler_mut().schedule(arrival, Ev::Arrive(id));
-    }
+    site::schedule_arrivals(engine.scheduler_mut(), arrivals, Ev::Arrive);
     let events = engine.run_to_completion(Some(500_000_000));
     let makespan = engine.now();
     let model = engine.into_model();
@@ -2429,57 +2031,15 @@ pub fn run_transactions_distributed_with<S: EventSink<SimEvent>>(
     );
     // No transaction may leave locks, waiters, or registrations behind —
     // even under message loss and site crashes.
-    if let Some(pcp) = model.global_pcp.as_ref() {
+    let pcps = || model.global_pcp.iter().chain(&model.local_pcps);
+    for pcp in pcps() {
         pcp.assert_idle();
     }
-    for pcp in &model.local_pcps {
-        pcp.assert_idle();
-    }
-    let stats = RunStats::from_monitor(&model.monitor, makespan);
-    let ceiling_blocks = model
-        .global_pcp
-        .as_ref()
-        .map(|p| p.ceiling_block_count())
-        .unwrap_or_else(|| {
-            model
-                .local_pcps
-                .iter()
-                .map(|p| p.ceiling_block_count())
-                .sum()
-        });
     RunReport {
-        stats,
-        deadlocks: 0,
-        ceiling_blocks,
-        preemptions: model.cpus.iter().map(|c| c.preemption_count()).sum(),
-        cpu_busy: model.cpus.iter().map(|c| c.busy_time()).sum(),
+        ceiling_blocks: pcps().map(|p| p.ceiling_block_count()).sum(),
         remote_messages: model.net.remote_sent_count(),
         net: Some(model.net.stats()),
-        events,
-        monitor: model.monitor,
-        stores: model.stores,
-        temporal: temporal_versions.map(|_| {
-            let constructible = model.snapshot_reads.saturating_sub(model.unconstructible);
-            TemporalStats {
-                snapshot_reads: model.snapshot_reads,
-                unconstructible: model.unconstructible,
-                mean_lag_ticks: if constructible == 0 {
-                    0.0
-                } else {
-                    model.lag_total as f64 / constructible as f64
-                },
-                max_lag_ticks: model.lag_max,
-                mean_replica_lag_ticks: if model.replica_reads == 0 {
-                    0.0
-                } else {
-                    model.replica_lag_total as f64 / model.replica_reads as f64
-                },
-                max_replica_lag_ticks: model.replica_lag_max,
-                reader_committed: model.reader_committed,
-                reader_missed: model.reader_missed,
-                versions_gced: model.versions_gced,
-            }
-        }),
+        ..model.rt.report(makespan, events, &model.cpus, model.stores)
     }
 }
 

@@ -58,6 +58,7 @@ pub mod prelude;
 pub mod protocols;
 pub mod report;
 pub mod single_site;
+mod site;
 
 pub use config::{MvccConfig, ProtocolKind, ReaderMode, SingleSiteConfig, VictimPolicy};
 pub use report::{RunReport, TemporalStats};

@@ -26,21 +26,21 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use monitor::{AbortReason, Monitor, RunStats, SimEvent, SimEventKind};
+use monitor::{AbortReason, SimEvent, SimEventKind};
 use rtdb::{
-    Catalog, LatchOutcome, LockMode, ObjectId, OpKind, Operation, Placement, RangeLatchManager,
-    SiteId, TxnId, TxnSpec,
+    Catalog, LatchOutcome, LockMode, ObjectId, OpKind, Placement, RangeLatchManager, SiteId, TxnId,
+    TxnSpec,
 };
 use starlite::{
-    Completion, Cpu, CpuJournalEntry, CpuJournalKind, CpuToken, Engine, EventId, EventSink,
-    FxHashMap, IoDevice, Model, NullSink, Removed, Scheduler, SimTime,
+    Completion, Cpu, CpuToken, Engine, EventId, EventSink, FxHashMap, IoDevice, Model, NullSink,
+    Removed, Scheduler, SimTime,
 };
 use workload::{Generator, WorkloadSpec};
 
 use crate::config::{ReaderMode, SingleSiteConfig};
-use crate::mvcc::{SnapshotId, VersionStore};
-use crate::protocols::{make_protocol, LockProtocol, ReleaseReason, RequestOutcome, Wakeup};
-use crate::report::{RunReport, TemporalStats};
+use crate::protocols::{make_protocol, LockProtocol, ReleaseReason, RequestOutcome};
+use crate::report::RunReport;
+use crate::site::{self, LoggedOp, SiteRuntime};
 
 /// Events of the single-site model.
 #[derive(Debug)]
@@ -66,6 +66,9 @@ enum Pending {
 
 #[derive(Debug)]
 struct Exec {
+    /// Home site of the transaction (the site its operations are logged
+    /// at).
+    home: SiteId,
     attempt: u32,
     step: usize,
     /// Data accesses: the objects actually read or written, in order.
@@ -74,7 +77,7 @@ struct Exec {
     /// granule's mode (write if the transaction writes anything in it).
     lock_seq: Vec<(ObjectId, LockMode)>,
     deadline_ev: EventId,
-    oplog: Vec<(ObjectId, OpKind, SimTime, u64)>,
+    oplog: Vec<LoggedOp>,
     write_buffer: Vec<ObjectId>,
     /// Latch-scan mode: the latch guarding the current access is held (a
     /// reader's range latch, once acquired, stays held — and `latched`
@@ -82,41 +85,21 @@ struct Exec {
     latched: bool,
 }
 
-/// Temporal-consistency counters of one run (mvcc configurations only).
-#[derive(Debug, Default)]
-struct TemporalCounters {
-    snapshot_reads: u64,
-    unconstructible: u64,
-    lag_total: u128,
-    lag_max: u64,
-    reader_committed: u64,
-    reader_missed: u64,
-    versions_gced: u64,
-}
-
 /// The site id of the single-site model.
 const SITE: SiteId = SiteId(0);
 
 struct SiteModel<S> {
     config: SingleSiteConfig,
-    /// Logical operation counter: assigned in event-execution order so
-    /// histories stay totally ordered per copy even within one tick.
-    op_seq: u64,
     protocol: Box<dyn LockProtocol>,
     cpu: Cpu<TxnId>,
     /// I/O transfers are keyed by (transaction, attempt) so completions of
     /// transfers issued before a restart are recognised as stale.
     io: IoDevice<(TxnId, u32)>,
     store: rtdb::ObjectStore,
-    monitor: Monitor,
+    /// Lifecycle recording, event emission and the version store.
+    rt: SiteRuntime<S>,
     specs: FxHashMap<TxnId, TxnSpec>,
     exec: FxHashMap<TxnId, Exec>,
-    /// Structured event sink ([`NullSink`] in the default configuration:
-    /// every `emit` below then monomorphises to nothing).
-    sink: S,
-    /// Scratch for draining protocol / CPU journals without reallocating.
-    scratch_events: Vec<SimEventKind>,
-    scratch_cpu: Vec<CpuJournalEntry<TxnId>>,
     /// Reusable control-flow queue for [`SiteModel::pump`]; empty between
     /// events, retained so no event allocates it afresh.
     pending: VecDeque<Pending>,
@@ -128,14 +111,8 @@ struct SiteModel<S> {
     /// arrival, plus the buffers that compute it.
     granule_spec: TxnSpec,
     granule_scratch: rtdb::GranuleScratch,
-    /// Bounded multi-version store; writers install committed versions
-    /// (mvcc configurations only).
-    versions: Option<VersionStore>,
     /// Interval latches for scan/point coexistence (latch-scan mode only).
     latches: Option<RangeLatchManager>,
-    /// Live snapshot pins: reader → (handle, pinned instant).
-    pins: FxHashMap<TxnId, (SnapshotId, SimTime)>,
-    temporal: TemporalCounters,
 }
 
 impl<S> fmt::Debug for SiteModel<S> {
@@ -157,67 +134,18 @@ impl<S: EventSink<SimEvent>> Model for SiteModel<S> {
             Ev::BurstDone { token } => self.on_burst_done(token, sched),
             Ev::Deadline(txn) => self.on_deadline(txn, sched),
         }
-        self.flush_cpu_journal();
+        self.rt.drain_cpu_journal(&mut self.cpu, SITE);
     }
 }
 
 impl<S: EventSink<SimEvent>> SiteModel<S> {
-    /// Emits one unified event, stamped with this site. The `S::ENABLED`
-    /// check is a monomorphisation-time constant: with [`NullSink`] this
-    /// whole function — including construction of `kind` at every call
-    /// site the optimiser can see — compiles to nothing.
-    fn emit(&mut self, at: SimTime, kind: SimEventKind) {
-        if S::ENABLED && self.sink.enabled() {
-            self.sink.emit(at, SimEvent::new(SITE, kind));
-        }
-    }
-
-    /// Forwards everything the protocol journalled during the call that
-    /// just returned, stamped with the current instant. Called immediately
-    /// after each protocol request/release so the unified stream preserves
-    /// the true interleaving with transaction lifecycle events.
-    fn drain_protocol(&mut self, now: SimTime) {
-        if !S::ENABLED || !self.sink.enabled() {
-            return;
-        }
-        self.protocol.drain_events(&mut self.scratch_events);
-        for i in 0..self.scratch_events.len() {
-            let kind = self.scratch_events[i];
-            self.sink.emit(now, SimEvent::new(SITE, kind));
-        }
-        self.scratch_events.clear();
-    }
-
-    /// Forwards dispatch/preemption events recorded by the kernel's CPU
-    /// model; each entry carries its own timestamp.
-    fn flush_cpu_journal(&mut self) {
-        if !S::ENABLED || !self.sink.enabled() {
-            return;
-        }
-        self.cpu.drain_journal(&mut self.scratch_cpu);
-        for i in 0..self.scratch_cpu.len() {
-            let entry = &self.scratch_cpu[i];
-            let kind = match entry.kind {
-                CpuJournalKind::Dispatched => SimEventKind::Dispatched { txn: entry.task },
-                CpuJournalKind::Preempted => SimEventKind::Preempted { txn: entry.task },
-            };
-            let at = entry.at;
-            self.sink.emit(at, SimEvent::new(SITE, kind));
-        }
-        self.scratch_cpu.clear();
-    }
-
     fn on_arrive(&mut self, txn: TxnId, sched: &mut Scheduler<Ev>) {
-        let priority = self
-            .specs
-            .get(&txn)
-            .expect("arriving txn has a spec")
-            .base_priority();
-        self.emit(sched.now(), SimEventKind::TxnArrived { txn, priority });
+        let now = sched.now();
         let spec = self.specs.get(&txn).expect("arriving txn has a spec");
-        self.monitor.register(spec);
+        self.rt.arrive(spec, SITE, now);
         let deadline_ev = sched.schedule(spec.deadline, Ev::Deadline(txn));
         let mut exec = self.exec_pool.pop().unwrap_or_else(|| Exec {
+            home: spec.home_site,
             attempt: 0,
             step: 0,
             seq: Vec::new(),
@@ -227,17 +155,15 @@ impl<S: EventSink<SimEvent>> SiteModel<S> {
             write_buffer: Vec::new(),
             latched: false,
         });
+        exec.home = spec.home_site;
         exec.attempt = 0;
         exec.step = 0;
         exec.deadline_ev = deadline_ev;
         exec.latched = false;
         exec.seq.clear();
         exec.seq.extend(spec.access_ops());
-        let lockless = matches!(
-            self.reader_mode(txn),
-            Some(ReaderMode::Snapshot | ReaderMode::LatchScan)
-        );
-        if lockless {
+        let reader = self.reader_mode(txn);
+        if matches!(reader, Some(ReaderMode::Snapshot | ReaderMode::LatchScan)) {
             // Snapshot and latch-scan readers never touch the lock
             // protocol: no registration (their declared sets must not
             // inflate priority ceilings) and no lock requests.
@@ -254,23 +180,16 @@ impl<S: EventSink<SimEvent>> SiteModel<S> {
             self.protocol.register(&self.granule_spec);
         }
         self.exec.insert(txn, exec);
-        self.monitor.on_start(txn, sched.now());
-        self.emit(sched.now(), SimEventKind::TxnStarted { txn });
-        if self.reader_mode(txn) == Some(ReaderMode::Snapshot) {
-            let mvcc = self.config.mvcc.expect("snapshot mode implies mvcc");
-            let spec = &self.specs[&txn];
-            let pin_at =
-                SimTime::from_ticks(spec.arrival.ticks().saturating_sub(mvcc.reader_lag.ticks()));
-            let id = self
-                .versions
-                .as_mut()
-                .expect("mvcc configurations have a version store")
-                .pin(pin_at);
-            self.pins.insert(txn, (id, pin_at));
-            self.emit(
-                sched.now(),
-                SimEventKind::SnapshotPinned { txn, pin: pin_at },
-            );
+        self.rt.start(txn, SITE, now);
+        if reader == Some(ReaderMode::Snapshot) {
+            let lag = self
+                .config
+                .mvcc
+                .expect("snapshot mode implies mvcc")
+                .reader_lag;
+            let arrival = self.specs[&txn].arrival;
+            let pin_at = SimTime::from_ticks(arrival.ticks().saturating_sub(lag.ticks()));
+            self.rt.pin(SITE, txn, pin_at, now);
         }
         self.pending.push_back(Pending::Advance(txn));
         self.pump(sched);
@@ -331,47 +250,43 @@ impl<S: EventSink<SimEvent>> SiteModel<S> {
             return; // already finished (its deadline event was cancelled)
         };
         self.recycle(exec);
-        self.monitor.on_miss(txn, sched.now());
-        self.emit(
-            sched.now(),
-            SimEventKind::TxnAborted {
-                txn,
-                reason: AbortReason::DeadlineMissed,
-            },
-        );
-        if let Removed::WasRunning { next: Some(burst) } = self.cpu.remove(txn, sched.now()) {
-            sched.schedule(burst.finish_at, Ev::BurstDone { token: burst.token });
-        }
+        let reason = AbortReason::DeadlineMissed;
+        self.rt.abort(txn, SITE, sched.now(), reason);
+        self.remove_from_cpu(txn, sched);
         let reader = self.reader_mode(txn);
         if reader.is_some() {
-            self.temporal.reader_missed += 1;
+            self.rt.temporal.reader_missed += 1;
         }
         if reader == Some(ReaderMode::Snapshot) {
-            self.release_pin(txn, sched.now());
+            self.rt.release_pin(SITE, txn, sched.now());
             return; // never touched the lock protocol or the latches
         }
         self.release_latches(txn, sched);
-        if reader == Some(ReaderMode::LatchScan) {
-            self.pump(sched);
-            return; // never registered with the lock protocol
+        if reader != Some(ReaderMode::LatchScan) {
+            self.release_locks(txn, ReleaseReason::Finished, sched);
         }
-        let release = self.protocol.release_all(txn, ReleaseReason::Finished);
-        self.drain_protocol(sched.now());
-        self.apply_release(release.wakeups, release.priority_updates, sched);
         self.pump(sched);
     }
 
-    /// Closes `txn`'s snapshot pin and sweeps version chains the released
-    /// watermark now lets GC trim.
-    fn release_pin(&mut self, txn: TxnId, now: SimTime) {
-        let Some((id, _)) = self.pins.remove(&txn) else {
-            return;
-        };
-        let vs = self.versions.as_mut().expect("pinned txn has a store");
-        vs.unpin(id);
-        for (object, through) in vs.gc() {
-            self.temporal.versions_gced += 1;
-            self.emit(now, SimEventKind::VersionGced { object, through });
+    /// Takes an aborted transaction off the CPU, dispatching the next
+    /// burst if it was running.
+    fn remove_from_cpu(&mut self, txn: TxnId, sched: &mut Scheduler<Ev>) {
+        if let Removed::WasRunning { next: Some(burst) } = self.cpu.remove(txn, sched.now()) {
+            sched.schedule(burst.finish_at, Ev::BurstDone { token: burst.token });
+        }
+    }
+
+    /// Releases every lock `txn` holds or awaits and queues the wakeups.
+    fn release_locks(&mut self, txn: TxnId, reason: ReleaseReason, sched: &mut Scheduler<Ev>) {
+        let now = sched.now();
+        let release = self.protocol.release_all(txn, reason);
+        self.rt
+            .drain_protocol_journal(self.protocol.as_mut(), SITE, now);
+        self.apply_priority_updates(&release.priority_updates, sched);
+        for w in release.wakeups {
+            debug_assert!(self.exec.contains_key(&w.txn), "wakeup for finished txn");
+            self.rt.unblock(w.txn, now);
+            self.pending.push_back(Pending::Resume(w.txn));
         }
     }
 
@@ -385,15 +300,17 @@ impl<S: EventSink<SimEvent>> SiteModel<S> {
         let woken = lm.release_all(txn);
         let now = sched.now();
         if had {
-            self.emit(now, SimEventKind::RangeLatchReleased { txn });
+            self.rt
+                .emit(now, SITE, SimEventKind::RangeLatchReleased { txn });
         }
         for g in woken {
             let Some(exec) = self.exec.get_mut(&g.txn) else {
                 continue;
             };
             exec.latched = true;
-            self.emit(
+            self.rt.emit(
                 now,
+                SITE,
                 SimEventKind::RangeLatchAcquired {
                     txn: g.txn,
                     lo: g.lo,
@@ -401,7 +318,7 @@ impl<S: EventSink<SimEvent>> SiteModel<S> {
                     mode: g.mode,
                 },
             );
-            self.monitor.on_unblock(g.txn, now);
+            self.rt.unblock(g.txn, now);
             self.pending.push_back(Pending::Resume(g.txn));
         }
     }
@@ -448,8 +365,10 @@ impl<S: EventSink<SimEvent>> SiteModel<S> {
         self.exec.get_mut(&txn).expect("checked above").latched = false;
         let exec = &self.exec[&txn];
         let (granule, gmode) = exec.lock_seq[exec.step];
+        let now = sched.now();
         let result = self.protocol.request(txn, granule, gmode);
-        self.drain_protocol(sched.now());
+        self.rt
+            .drain_protocol_journal(self.protocol.as_mut(), SITE, now);
         self.apply_priority_updates(&result.priority_updates, sched);
         match result.outcome {
             RequestOutcome::Granted => {
@@ -458,18 +377,11 @@ impl<S: EventSink<SimEvent>> SiteModel<S> {
                 }
                 self.start_io(txn, sched)
             }
-            RequestOutcome::Blocked { blocker } => {
-                let lower = blocker.filter(|b| {
-                    self.specs
-                        .get(b)
-                        .is_some_and(|s| s.base_priority() < self.specs[&txn].base_priority())
-                });
-                self.monitor.on_block(txn, sched.now(), lower);
-            }
+            RequestOutcome::Blocked { blocker } => self.rt.block(&self.specs, txn, now, blocker),
             RequestOutcome::Deadlock { victim } => {
                 // The requester is queued inside the protocol either way;
                 // record the block, then schedule the victim's restart.
-                self.monitor.on_block(txn, sched.now(), None);
+                self.rt.block(&self.specs, txn, now, None);
                 self.pending.push_back(Pending::Restart(victim));
             }
         }
@@ -533,84 +445,57 @@ impl<S: EventSink<SimEvent>> SiteModel<S> {
         match lm.acquire(txn, lo, hi, mode) {
             LatchOutcome::Granted => {
                 self.exec.get_mut(&txn).expect("checked above").latched = true;
-                self.emit(now, SimEventKind::RangeLatchAcquired { txn, lo, hi, mode });
+                let kind = SimEventKind::RangeLatchAcquired { txn, lo, hi, mode };
+                self.rt.emit(now, SITE, kind);
                 true
             }
             LatchOutcome::Blocked { blocker } => {
-                self.emit(
-                    now,
-                    SimEventKind::RangeLatchBlocked {
-                        txn,
-                        lo,
-                        hi,
-                        blocker,
-                    },
-                );
-                let lower = blocker.filter(|b| {
-                    self.specs
-                        .get(b)
-                        .is_some_and(|s| s.base_priority() < self.specs[&txn].base_priority())
-                });
-                self.monitor.on_block(txn, now, lower);
+                let kind = SimEventKind::RangeLatchBlocked {
+                    txn,
+                    lo,
+                    hi,
+                    blocker,
+                };
+                self.rt.emit(now, SITE, kind);
+                self.rt.block(&self.specs, txn, now, blocker);
                 false
             }
         }
     }
 
     /// Aborts a deadlock victim and restarts it from its first operation,
-    /// keeping its original deadline and priority.
+    /// keeping its original deadline and priority — or, without
+    /// `restart_victims`, aborts it for good like a deadline miss.
     fn restart(&mut self, txn: TxnId, sched: &mut Scheduler<Ev>) {
+        let now = sched.now();
         let Some(exec) = self.exec.get_mut(&txn) else {
             return; // its deadline beat the restart
         };
-        if !self.config.restart_victims {
-            // Treat like a deadline miss: the transaction is aborted for
-            // good.
+        let reason = if self.config.restart_victims {
+            exec.attempt += 1;
+            exec.step = 0;
+            exec.latched = false;
+            exec.oplog.clear();
+            exec.write_buffer.clear();
+            self.rt.restart(txn, SITE, now);
+            ReleaseReason::Restart
+        } else {
             let exec = self.exec.remove(&txn).expect("victim is live");
             sched.cancel(exec.deadline_ev);
             self.recycle(exec);
-            self.monitor.on_miss(txn, sched.now());
             if self.reader_mode(txn).is_some() {
                 // Locking-mode readers can be deadlock victims too.
-                self.temporal.reader_missed += 1;
+                self.rt.temporal.reader_missed += 1;
             }
-            self.emit(
-                sched.now(),
-                SimEventKind::TxnAborted {
-                    txn,
-                    reason: AbortReason::DeadlockVictim,
-                },
-            );
-            if let Removed::WasRunning { next: Some(burst) } = self.cpu.remove(txn, sched.now()) {
-                sched.schedule(burst.finish_at, Ev::BurstDone { token: burst.token });
-            }
-            self.release_latches(txn, sched);
-            let release = self.protocol.release_all(txn, ReleaseReason::Finished);
-            self.drain_protocol(sched.now());
-            self.apply_release(release.wakeups, release.priority_updates, sched);
-            return;
-        }
-        exec.attempt += 1;
-        exec.step = 0;
-        exec.latched = false;
-        exec.oplog.clear();
-        exec.write_buffer.clear();
-        self.monitor.on_restart(txn, sched.now());
-        self.emit(
-            sched.now(),
-            SimEventKind::TxnAborted {
-                txn,
-                reason: AbortReason::DeadlockVictim,
-            },
-        );
-        if let Removed::WasRunning { next: Some(burst) } = self.cpu.remove(txn, sched.now()) {
-            sched.schedule(burst.finish_at, Ev::BurstDone { token: burst.token });
-        }
+            self.rt.abort(txn, SITE, now, AbortReason::DeadlockVictim);
+            ReleaseReason::Finished
+        };
+        self.remove_from_cpu(txn, sched);
         self.release_latches(txn, sched);
-        let release = self.protocol.release_all(txn, ReleaseReason::Restart);
-        self.drain_protocol(sched.now());
-        self.apply_release(release.wakeups, release.priority_updates, sched);
-        self.pending.push_back(Pending::Advance(txn));
+        self.release_locks(txn, reason, sched);
+        if reason == ReleaseReason::Restart {
+            self.pending.push_back(Pending::Advance(txn));
+        }
     }
 
     /// The current step's access was just granted: record the operation
@@ -626,14 +511,14 @@ impl<S: EventSink<SimEvent>> SiteModel<S> {
             // it reads a past, already-serialised prefix).
             self.snapshot_read_step(txn, now);
         } else {
-            let seq = self.op_seq;
-            self.op_seq += 1;
+            let seq = self.rt.next_op_seq();
             let exec = self.exec.get_mut(&txn).expect("granted txn is live");
             let (object, mode) = exec.seq[exec.step];
             match mode {
-                LockMode::Read => exec.oplog.push((object, OpKind::Read, now, seq)),
+                LockMode::Read => exec.oplog.push((object, OpKind::Read, now, seq, exec.home)),
                 LockMode::Write => {
-                    exec.oplog.push((object, OpKind::Write, now, seq));
+                    exec.oplog
+                        .push((object, OpKind::Write, now, seq, exec.home));
                     exec.write_buffer.push(object);
                 }
             }
@@ -659,27 +544,25 @@ impl<S: EventSink<SimEvent>> SiteModel<S> {
     /// cannot predict which version an evicted read would have seen; the
     /// GC invariant guards that case instead).
     fn snapshot_read_step(&mut self, txn: TxnId, now: SimTime) {
-        let (_, pin) = self.pins[&txn];
+        let pin = self.rt.pinned_at(SITE, txn);
         let exec = &self.exec[&txn];
         let (object, _) = exec.seq[exec.step];
-        let vs = self.versions.as_ref().expect("snapshot mode implies mvcc");
-        self.temporal.snapshot_reads += 1;
-        match vs.read_at(object, pin).number() {
+        let vs = self.rt.store(SITE);
+        let (read, lag) = (vs.read_at(object, pin).number(), vs.lag_at(object, pin));
+        self.rt.temporal.snapshot_reads += 1;
+        match read {
             Some(version) => {
-                if let Some(lag) = vs.lag_at(object, pin) {
-                    self.temporal.lag_total += lag.ticks() as u128;
-                    self.temporal.lag_max = self.temporal.lag_max.max(lag.ticks());
+                if let Some(lag) = lag {
+                    self.rt.temporal.lag(lag.ticks());
                 }
-                self.emit(
-                    now,
-                    SimEventKind::SnapshotRead {
-                        txn,
-                        object,
-                        version,
-                    },
-                );
+                let kind = SimEventKind::SnapshotRead {
+                    txn,
+                    object,
+                    version,
+                };
+                self.rt.emit(now, SITE, kind);
             }
-            None => self.temporal.unconstructible += 1,
+            None => self.rt.temporal.unconstructible += 1,
         }
     }
 
@@ -721,83 +604,28 @@ impl<S: EventSink<SimEvent>> SiteModel<S> {
         let reader = self.reader_mode(txn);
         let exec = self.exec.remove(&txn).expect("committing unknown txn");
         sched.cancel(exec.deadline_ev);
-        if reader == Some(ReaderMode::Snapshot) {
-            // Nothing written, nothing locked, no history recorded: the
-            // snapshot read a past serialised prefix. Just retire and let
-            // the released pin advance the GC watermark.
-            self.recycle(exec);
-            self.monitor.on_commit(txn, now);
-            self.emit(now, SimEventKind::TxnCommitted { txn });
-            self.release_pin(txn, now);
-            self.temporal.reader_committed += 1;
-            return;
-        }
         for &obj in &exec.write_buffer {
             let value = self.store.read(obj).value + 1;
             self.store.apply_write(obj, value, txn, now);
-            if self.versions.is_some() {
-                let inst = self
-                    .versions
-                    .as_mut()
-                    .expect("checked above")
-                    .install(obj, value, txn, now);
-                self.emit(
-                    now,
-                    SimEventKind::VersionInstalled {
-                        object: obj,
-                        version: inst.version,
-                        writer: txn,
-                    },
-                );
-                if let Some(through) = inst.evicted_through {
-                    self.temporal.versions_gced += 1;
-                    self.emit(
-                        now,
-                        SimEventKind::VersionGced {
-                            object: obj,
-                            through,
-                        },
-                    );
-                }
+            if self.rt.versioned() {
+                let version = self.store.read(obj).version;
+                self.rt.install(SITE, obj, value, version, txn, now);
             }
         }
-        let site = self.specs[&txn].home_site;
-        for &(object, kind, at, seq) in &exec.oplog {
-            self.monitor.record_op(Operation {
-                txn,
-                object,
-                kind,
-                at,
-                seq,
-                site,
-            });
-        }
+        // A snapshot reader logged nothing: it read a past serialised
+        // prefix, wrote nothing and locked nothing.
+        self.rt.commit(txn, SITE, now, &exec.oplog);
         self.recycle(exec);
-        self.monitor.on_commit(txn, now);
-        self.emit(now, SimEventKind::TxnCommitted { txn });
         if reader.is_some() {
-            self.temporal.reader_committed += 1;
+            self.rt.temporal.reader_committed += 1;
         }
-        self.release_latches(txn, sched);
-        if reader == Some(ReaderMode::LatchScan) {
-            return; // never registered with the lock protocol
-        }
-        let release = self.protocol.release_all(txn, ReleaseReason::Finished);
-        self.drain_protocol(now);
-        self.apply_release(release.wakeups, release.priority_updates, sched);
-    }
-
-    fn apply_release(
-        &mut self,
-        wakeups: Vec<Wakeup>,
-        priority_updates: Vec<(TxnId, starlite::Priority)>,
-        sched: &mut Scheduler<Ev>,
-    ) {
-        self.apply_priority_updates(&priority_updates, sched);
-        for w in wakeups {
-            debug_assert!(self.exec.contains_key(&w.txn), "wakeup for finished txn");
-            self.monitor.on_unblock(w.txn, sched.now());
-            self.pending.push_back(Pending::Resume(w.txn));
+        match reader {
+            Some(ReaderMode::Snapshot) => self.rt.release_pin(SITE, txn, now),
+            Some(ReaderMode::LatchScan) => self.release_latches(txn, sched),
+            _ => {
+                self.release_latches(txn, sched);
+                self.release_locks(txn, ReleaseReason::Finished, sched);
+            }
         }
     }
 
@@ -872,7 +700,8 @@ impl<'a> Simulator<'a> {
 ///
 /// # Panics
 ///
-/// Panics if two transactions share an id.
+/// Panics if two transactions share an id or an id lies in the
+/// system-transaction range ([`rtdb::SYSTEM_TXN_BASE`] and up).
 pub fn run_transactions(
     config: SingleSiteConfig,
     catalog: &Catalog,
@@ -888,29 +717,24 @@ pub fn run_transactions(
 ///
 /// # Panics
 ///
-/// Panics if two transactions share an id.
+/// Panics if two transactions share an id or an id lies in the
+/// system-transaction range ([`rtdb::SYSTEM_TXN_BASE`] and up).
 pub fn run_transactions_with<S: EventSink<SimEvent>>(
     config: SingleSiteConfig,
     catalog: &Catalog,
     txns: Vec<TxnSpec>,
     sink: S,
 ) -> RunReport {
-    let mut specs = FxHashMap::default();
-    let mut arrivals = Vec::with_capacity(txns.len());
-    for spec in txns {
-        arrivals.push((spec.arrival, spec.id));
-        let prev = specs.insert(spec.id, spec);
-        assert!(prev.is_none(), "duplicate transaction id");
-    }
+    let (specs, arrivals) = site::intake(txns);
+    let rt = SiteRuntime::new(sink, 1, config.mvcc.map(|m| m.keep));
     let mut protocol = make_protocol(config.protocol, config.victim_policy);
     let mut cpu = Cpu::new(config.protocol.cpu_policy());
-    if sink.enabled() {
+    if rt.tracing() {
         protocol.set_tracing(true);
         cpu.set_tracing(true);
     }
     let model = SiteModel {
         config,
-        op_seq: 0,
         protocol,
         cpu,
         io: match config.io_parallelism {
@@ -918,12 +742,9 @@ pub fn run_transactions_with<S: EventSink<SimEvent>>(
             None => IoDevice::parallel(),
         },
         store: rtdb::ObjectStore::new(catalog.db_size()),
-        monitor: Monitor::new(),
+        rt,
         specs,
         exec: FxHashMap::default(),
-        sink,
-        scratch_events: Vec::new(),
-        scratch_cpu: Vec::new(),
         pending: VecDeque::new(),
         exec_pool: Vec::new(),
         // Placeholder; every field is overwritten by `GranuleScratch::map`
@@ -937,17 +758,12 @@ pub fn run_transactions_with<S: EventSink<SimEvent>>(
             SITE,
         ),
         granule_scratch: rtdb::GranuleScratch::new(),
-        versions: config.mvcc.map(|m| VersionStore::new(m.keep)),
         latches: config
             .mvcc
             .and_then(|m| (m.reader_mode == ReaderMode::LatchScan).then(RangeLatchManager::new)),
-        pins: FxHashMap::default(),
-        temporal: TemporalCounters::default(),
     };
     let mut engine = Engine::new(model);
-    for (arrival, id) in arrivals {
-        engine.scheduler_mut().schedule(arrival, Ev::Arrive(id));
-    }
+    site::schedule_arrivals(engine.scheduler_mut(), arrivals, Ev::Arrive);
     // Generous cap: every transaction contributes a bounded number of
     // events per attempt, and attempts are bounded by deadlines.
     let events = engine.run_to_completion(Some(500_000_000));
@@ -957,38 +773,15 @@ pub fn run_transactions_with<S: EventSink<SimEvent>>(
         model.exec.is_empty(),
         "simulation drained with live transactions"
     );
-    let stats = RunStats::from_monitor(&model.monitor, makespan);
-    let temporal = model.config.mvcc.map(|_| {
-        let t = &model.temporal;
-        let constructible = t.snapshot_reads - t.unconstructible;
-        TemporalStats {
-            snapshot_reads: t.snapshot_reads,
-            unconstructible: t.unconstructible,
-            mean_lag_ticks: if constructible == 0 {
-                0.0
-            } else {
-                t.lag_total as f64 / constructible as f64
-            },
-            max_lag_ticks: t.lag_max,
-            mean_replica_lag_ticks: 0.0,
-            max_replica_lag_ticks: 0,
-            reader_committed: t.reader_committed,
-            reader_missed: t.reader_missed,
-            versions_gced: t.versions_gced,
-        }
-    });
     RunReport {
-        stats,
         deadlocks: model.protocol.deadlock_count(),
         ceiling_blocks: model.protocol.ceiling_block_count(),
-        preemptions: model.cpu.preemption_count(),
-        cpu_busy: model.cpu.busy_time(),
-        remote_messages: 0,
-        net: None,
-        events,
-        monitor: model.monitor,
-        stores: vec![model.store],
-        temporal,
+        ..model.rt.report(
+            makespan,
+            events,
+            std::slice::from_ref(&model.cpu),
+            vec![model.store],
+        )
     }
 }
 
@@ -1078,6 +871,18 @@ mod tests {
             monitor::check_conflict_serializable(report.monitor.history())
                 .unwrap_or_else(|e| panic!("{kind}: {e}"));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "transaction id in system range")]
+    fn system_range_ids_are_rejected() {
+        // The oracle exempts system ids from accounting and
+        // serialisability, so a workload must never use one.
+        run_transactions(
+            config(ProtocolKind::PriorityCeiling),
+            &catalog(),
+            vec![spec(rtdb::SYSTEM_TXN_BASE, 0, 1_000, vec![1], vec![])],
+        );
     }
 
     #[test]

@@ -36,22 +36,12 @@ use starlite::{EventSink, FxHashMap, FxHashSet, Priority, SimTime};
 
 use crate::events::{AbortReason, SimEvent, SimEventKind};
 
-/// System transactions (secondary-update appliers) live in a disjoint id
-/// range; mirrors `SYSTEM_TXN_BASE` in the distributed simulator. They
-/// take locks like everyone else but never arrive or commit, so the
-/// per-transaction accounting and serialisability checks skip them.
-const SYSTEM_TXN_BASE: u64 = 1 << 48;
-
 /// Violations kept with full event context; beyond this only the count
 /// grows, so a catastrophically broken run cannot exhaust memory.
 const MAX_VIOLATIONS: usize = 64;
 
 /// Events attached to a single violation.
 const MAX_VIOLATION_EVENTS: usize = 8;
-
-fn is_system(txn: TxnId) -> bool {
-    txn.0 >= SYSTEM_TXN_BASE
-}
 
 /// What the oracle should expect from the run it is checking.
 #[derive(Debug, Clone, Copy)]
@@ -339,7 +329,7 @@ impl CheckSink {
     /// Records an access and adds conflict edges from every prior
     /// conflicting accessor of the same copy.
     fn record_access(&mut self, txn: TxnId, copy: CopyKey, writes: bool) {
-        if is_system(txn) {
+        if txn.is_system() {
             return;
         }
         let accessors = self.copy_access.entry(copy).or_default();
@@ -581,7 +571,7 @@ impl CheckSink {
         self.blocks.remove(&txn);
         self.pins.remove(&txn);
         self.latch_waiters.remove(&txn);
-        if is_system(txn) {
+        if txn.is_system() {
             return;
         }
         match self.txns.get_mut(&txn) {
@@ -976,7 +966,7 @@ impl EventSink<SimEvent> for CheckSink {
         let site = event.site.0;
         match event.kind {
             SimEventKind::TxnArrived { txn, .. } => {
-                if is_system(txn) {
+                if txn.is_system() {
                     return;
                 }
                 if let Some(state) = self.txns.get(&txn) {
@@ -999,7 +989,7 @@ impl EventSink<SimEvent> for CheckSink {
             }
             SimEventKind::TxnCommitted { txn } => {
                 self.on_terminal(txn, false, anchor);
-                if is_system(txn) {
+                if txn.is_system() {
                     return;
                 }
                 if let Some(rec) = self.twopc.get(&txn) {

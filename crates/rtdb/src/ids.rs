@@ -11,6 +11,21 @@ use serde::{Deserialize, Serialize};
 )]
 pub struct TxnId(pub u64);
 
+/// First id of the system-transaction range. System transactions (the
+/// distributed model's secondary-update appliers) take locks like any
+/// other transaction but never arrive or commit as workload, so workload
+/// ids must stay below this bound and the per-transaction accounting and
+/// serialisability checks skip ids at or above it.
+pub const SYSTEM_TXN_BASE: u64 = 1 << 48;
+
+impl TxnId {
+    /// Whether this id lies in the system-transaction range
+    /// ([`SYSTEM_TXN_BASE`] and up).
+    pub const fn is_system(self) -> bool {
+        self.0 >= SYSTEM_TXN_BASE
+    }
+}
+
 impl fmt::Display for TxnId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "T{}", self.0)
@@ -55,6 +70,12 @@ mod tests {
         assert_eq!(TxnId(3).to_string(), "T3");
         assert_eq!(ObjectId(4).to_string(), "O4");
         assert_eq!(SiteId(1).to_string(), "S1");
+    }
+
+    #[test]
+    fn system_range_starts_at_the_base() {
+        assert!(!TxnId(SYSTEM_TXN_BASE - 1).is_system());
+        assert!(TxnId(SYSTEM_TXN_BASE).is_system());
     }
 
     #[test]

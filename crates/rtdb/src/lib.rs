@@ -40,7 +40,7 @@ pub mod wfg;
 pub use catalog::{Catalog, Placement};
 pub use commit::{Coordinator, CoordinatorAction, Participant, ParticipantAction, Vote};
 pub use history::{History, OpKind, Operation};
-pub use ids::{ObjectId, SiteId, TxnId};
+pub use ids::{ObjectId, SiteId, TxnId, SYSTEM_TXN_BASE};
 pub use latch::{GrantedLatch, LatchOutcome, RangeLatchManager};
 pub use lock::{
     EntryGrant, EntryOutcome, GrantedLock, LockEntry, LockEvent, LockMode, LockOutcome, LockTable,

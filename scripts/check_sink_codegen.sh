@@ -12,10 +12,14 @@
 #   1. The `rtlock` library IR (which contains the NullSink
 #      monomorphisations of both simulators, instantiated by the
 #      non-generic `run_transactions*` wrappers) must contain ZERO
-#      references to the sink-layer drain helpers. The only journal
-#      symbols allowed are the lock-table drains inside the `dyn
-#      LockProtocol` implementations, which are runtime-gated on the
-#      protocol's tracing flag and cannot be monomorphised away.
+#      references to the sink-layer drain helpers: the shared site
+#      runtime's protocol- and CPU-journal drains
+#      (`SiteRuntime::drain_protocol_journal`/`drain_cpu_journal` in
+#      crates/core/src/site.rs) and the distributed model's network
+#      drain (`drain_net_journal`). The only journal symbols allowed are
+#      the lock-table drains inside the `dyn LockProtocol`
+#      implementations, which are runtime-gated on the protocol's
+#      tracing flag and cannot be monomorphised away.
 #
 #   2. As a positive control, the `rtlock-bench` library IR (whose
 #      non-generic sweep entry points instantiate the traced sinks for
@@ -24,7 +28,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-SINK_HELPERS='flush_cpu_journal|flush_kernel_journals|drain_pcp|drain_protocol'
+SINK_HELPERS='drain_protocol_journal|drain_cpu_journal|drain_net_journal'
 
 echo "sink-codegen: emitting LLVM IR for the rtlock library (NullSink instantiations)"
 rm -f target/release/deps/rtlock-*.ll

@@ -72,7 +72,7 @@ fn local_writes_happen_only_at_primaries() {
     )
     .run(9);
     for op in report.monitor.history().operations() {
-        if op.kind == rtdb::OpKind::Write && op.txn.0 < (1 << 48) {
+        if op.kind == rtdb::OpKind::Write && !op.txn.is_system() {
             assert_eq!(
                 cat.primary_site(op.object),
                 op.site,

@@ -129,7 +129,7 @@ proptest! {
             }
         }
         for op in report.monitor.history().operations() {
-            if op.kind == rtdb::OpKind::Write && op.txn.0 < (1 << 48) {
+            if op.kind == rtdb::OpKind::Write && !op.txn.is_system() {
                 prop_assert_eq!(catalog.primary_site(op.object), op.site);
             }
         }
