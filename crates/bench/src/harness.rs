@@ -92,6 +92,24 @@ impl SingleSiteSpec {
         }
     }
 
+    /// The simulator configuration this spec runs.
+    pub(crate) fn config(&self) -> SingleSiteConfig {
+        let mut builder = SingleSiteConfig::builder()
+            .protocol(self.protocol)
+            .cpu_per_object(params::CPU_PER_OBJECT)
+            .io_per_object(self.io_per_object)
+            .victim_policy(self.victim_policy)
+            .restart_victims(self.restart_victims)
+            .lock_granularity(self.lock_granularity);
+        if let Some(channels) = self.io_parallelism {
+            builder = builder.io_parallelism(channels);
+        }
+        if let Some(m) = self.mvcc {
+            builder = builder.mvcc(m);
+        }
+        builder.build()
+    }
+
     /// The ablation configuration at one mean size: sizes uniform in
     /// `[size/2, size + size/2]` so deadline order differs from arrival
     /// order (see [`crate::ablation`]).
@@ -159,6 +177,25 @@ impl DistributedSpec {
             faults,
             ..DistributedSpec::figure(architecture, read_only_fraction, delay_units, txn_count)
         }
+    }
+
+    /// The simulator configuration this spec runs.
+    pub(crate) fn config(&self) -> DistributedConfig {
+        let mut builder = DistributedConfig::builder()
+            .architecture(self.architecture)
+            .comm_delay(SimDuration::from_ticks(
+                params::TIME_UNIT.ticks() * self.delay_units as u64,
+            ))
+            .cpu_per_object(params::CPU_PER_OBJECT)
+            .apply_cost(params::APPLY_COST)
+            .faults(self.faults.clone());
+        if let Some(keep) = self.temporal_versions {
+            builder = builder.temporal_versions(keep);
+        }
+        if self.snapshot_readers {
+            builder = builder.snapshot_readers(true);
+        }
+        builder.build()
     }
 }
 
@@ -270,8 +307,9 @@ pub fn execute_with<S: EventSink<SimEvent>>(spec: &RunSpec, sink: S) -> RunMetri
 }
 
 /// Runs one spec like [`execute_with`] and returns the full [`RunReport`]
-/// (monitor records, committed history, final stores) instead of the
-/// extracted metrics.
+/// (monitor records, final stores and their committed-write counts)
+/// instead of the extracted metrics. Pass a [`CheckSink`] to judge the
+/// run's serialisability.
 pub fn report_with<S: EventSink<SimEvent>>(spec: &RunSpec, sink: S) -> RunReport {
     match &spec.sim {
         SimSpec::SingleSite(s) => {
@@ -285,20 +323,7 @@ pub fn report_with<S: EventSink<SimEvent>>(spec: &RunSpec, sink: S) -> RunReport
                 .scan_readers(s.scan_readers)
                 .deadline(s.slack_factor, s.deadline_per_object)
                 .build();
-            let mut builder = SingleSiteConfig::builder()
-                .protocol(s.protocol)
-                .cpu_per_object(params::CPU_PER_OBJECT)
-                .io_per_object(s.io_per_object)
-                .victim_policy(s.victim_policy)
-                .restart_victims(s.restart_victims)
-                .lock_granularity(s.lock_granularity);
-            if let Some(channels) = s.io_parallelism {
-                builder = builder.io_parallelism(channels);
-            }
-            if let Some(m) = s.mvcc {
-                builder = builder.mvcc(m);
-            }
-            Simulator::new(builder.build(), catalog, &workload).run_with(spec.seed, sink)
+            Simulator::new(s.config(), catalog, &workload).run_with(spec.seed, sink)
         }
         SimSpec::Distributed(s) => {
             let catalog = Catalog::new(
@@ -317,21 +342,7 @@ pub fn report_with<S: EventSink<SimEvent>>(spec: &RunSpec, sink: S) -> RunReport
                 .write_fraction(0.5)
                 .deadline(params::DIST_SLACK_FACTOR, params::CPU_PER_OBJECT)
                 .build();
-            let mut builder = DistributedConfig::builder()
-                .architecture(s.architecture)
-                .comm_delay(SimDuration::from_ticks(
-                    params::TIME_UNIT.ticks() * s.delay_units as u64,
-                ))
-                .cpu_per_object(params::CPU_PER_OBJECT)
-                .apply_cost(params::APPLY_COST)
-                .faults(s.faults.clone());
-            if let Some(keep) = s.temporal_versions {
-                builder = builder.temporal_versions(keep);
-            }
-            if s.snapshot_readers {
-                builder = builder.snapshot_readers(true);
-            }
-            DistributedSimulator::new(builder.build(), catalog, &workload).run_with(spec.seed, sink)
+            DistributedSimulator::new(s.config(), catalog, &workload).run_with(spec.seed, sink)
         }
     }
 }

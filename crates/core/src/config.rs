@@ -195,6 +195,21 @@ impl SingleSiteConfig {
     pub fn builder() -> SingleSiteConfigBuilder {
         SingleSiteConfigBuilder::default()
     }
+
+    /// The online oracle's configuration for runs of this protocol:
+    /// ceiling invariants for the two ceiling variants, lock-table checks
+    /// for every protocol but timestamp ordering (whose grants still feed
+    /// the conflict graph), and restarts as configured.
+    pub fn check_config(&self) -> monitor::CheckConfig {
+        monitor::CheckConfig::single_site(
+            matches!(
+                self.protocol,
+                ProtocolKind::PriorityCeiling | ProtocolKind::PriorityCeilingExclusive
+            ),
+            self.protocol != ProtocolKind::TimestampOrdering,
+            self.restart_victims,
+        )
+    }
 }
 
 /// Builder for [`SingleSiteConfig`].

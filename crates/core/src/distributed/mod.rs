@@ -106,6 +106,16 @@ impl DistributedConfig {
     pub fn builder() -> DistributedConfigBuilder {
         DistributedConfigBuilder::default()
     }
+
+    /// The online oracle's configuration for runs of this architecture
+    /// over `sites` sites (both architectures run the ceiling protocol;
+    /// the local one replicates).
+    pub fn check_config(&self, sites: u8) -> monitor::CheckConfig {
+        monitor::CheckConfig::distributed(
+            self.architecture == CeilingArchitecture::LocalReplicated,
+            sites,
+        )
+    }
 }
 
 /// Builder for [`DistributedConfig`].

@@ -25,8 +25,9 @@
 //!
 //! A transaction whose deadline expires after its commit decision has been
 //! broadcast cannot be retracted: it completes two-phase commit, its
-//! writes stand (and are recorded in the history), and it is *counted as
-//! deadline-missing* — the hard-deadline accounting the paper uses.
+//! writes stand (and the oracle keeps it in its conflict graph as
+//! committed), and it is *counted as deadline-missing* — the
+//! hard-deadline accounting the paper uses.
 //!
 //! # Fault injection & recovery
 //!
@@ -60,8 +61,8 @@ use std::fmt;
 use monitor::{AbortReason, SimEvent, SimEventKind};
 use netsim::{CallId, CallTable, NetJournalEntry, Network, SendOutcome};
 use rtdb::{
-    Catalog, Coordinator, CoordinatorAction, LockMode, ObjectId, OpKind, Participant,
-    ParticipantAction, Placement, SiteId, TxnId, TxnSpec, Vote, SYSTEM_TXN_BASE,
+    Catalog, Coordinator, CoordinatorAction, LockMode, ObjectId, Participant, ParticipantAction,
+    Placement, SiteId, TxnId, TxnSpec, Vote, SYSTEM_TXN_BASE,
 };
 use starlite::{
     Completion, Cpu, CpuPolicy, CpuToken, Engine, EventId, EventSink, FxHashMap, FxHashSet, Model,
@@ -72,7 +73,7 @@ use workload::{Generator, WorkloadSpec};
 use crate::distributed::{CeilingArchitecture, DistributedConfig};
 use crate::protocols::{LockProtocol, PriorityCeilingProtocol, ReleaseReason, RequestOutcome};
 use crate::report::RunReport;
-use crate::site::{self, LoggedOp, SiteRuntime};
+use crate::site::{self, SiteRuntime};
 
 /// Commit-decision retransmissions before the coordinator stops waiting
 /// for acknowledgements and finalizes anyway (fault mode only).
@@ -116,14 +117,10 @@ enum Message {
     },
     RemoteRead {
         txn: TxnId,
-        object: ObjectId,
         from: SiteId,
     },
     RemoteReadReply {
         txn: TxnId,
-        object: ObjectId,
-        served_at: SimTime,
-        served_seq: u64,
     },
     Prepare {
         txn: TxnId,
@@ -143,7 +140,6 @@ enum Message {
     AckMsg {
         txn: TxnId,
         site: SiteId,
-        applied: Vec<(ObjectId, SimTime, u64)>,
     },
     SecondaryUpdate {
         object: ObjectId,
@@ -220,7 +216,6 @@ struct DExec {
     step: usize,
     seq: Vec<(ObjectId, LockMode)>,
     deadline_ev: Option<EventId>,
-    oplog: Vec<LoggedOp>,
     coordinator: Option<Coordinator>,
     /// Commit decision broadcast; the transaction can no longer abort.
     decided: bool,
@@ -435,7 +430,6 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
             step: 0,
             seq: Vec::new(),
             deadline_ev: None,
-            oplog: Vec::new(),
             coordinator: None,
             decided: false,
             deadline_passed: false,
@@ -454,7 +448,6 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
         exec.step = 0;
         exec.seq.clear();
         exec.deadline_ev = None;
-        exec.oplog.clear();
         exec.coordinator = None;
         exec.decided = false;
         exec.deadline_passed = false;
@@ -562,9 +555,8 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
         }
     }
 
-    /// A processing burst completed: record the operation and move on.
+    /// A processing burst completed: move on to the next step.
     fn finish_access_for(&mut self, txn: TxnId, site: SiteId, sched: &mut Scheduler<Ev>) {
-        let now = sched.now();
         let Some(exec) = self.exec.get_mut(&txn) else {
             return;
         };
@@ -574,25 +566,6 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
             self.finish_system_apply(txn, site, apply, sched);
             return;
         }
-        let (object, mode) = exec.seq[exec.step];
-        let record_read = match self.config.architecture {
-            // Reads of local primaries are recorded here; remote reads
-            // were recorded at serve time; writes apply during 2PC.
-            CeilingArchitecture::GlobalManager => {
-                mode == LockMode::Read && self.catalog.primary_site(object) == site
-            }
-            CeilingArchitecture::LocalReplicated => {
-                // Snapshot readers record no history operations: they read
-                // a past, already-serialised prefix of their replica.
-                mode == LockMode::Read && !self.is_snapshot_reader(txn)
-            }
-        };
-        if record_read {
-            let seq = self.rt.next_op_seq();
-            let exec = self.exec.get_mut(&txn).expect("checked above");
-            exec.oplog.push((object, OpKind::Read, now, seq, site));
-        }
-        let exec = self.exec.get_mut(&txn).expect("checked above");
         exec.step += 1;
         match self.config.architecture {
             CeilingArchitecture::GlobalManager => self.advance_global(txn, sched),
@@ -1113,13 +1086,17 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
             sched.cancel(ev);
         }
         let (home, now) = (self.home(txn), sched.now());
+        // The decision side counts the writes; the participants' applies
+        // are not counted, so the store-integrity check compares the two.
+        for &obj in &self.specs[&txn].write_set {
+            self.rt.write_applied(self.catalog.primary_site(obj), obj);
+        }
         // A decided transaction's writes stand even when its deadline
-        // passed: they enter the history either way.
+        // passed; it is counted as missed.
         if exec.deadline_passed {
-            self.rt.record_ops(txn, &exec.oplog);
             self.rt.abort(txn, home, now, AbortReason::DeadlineMissed);
         } else {
-            self.rt.commit(txn, home, now, &exec.oplog);
+            self.rt.commit(txn, home, now);
         }
         self.recycle_exec(exec);
         self.send_release(txn, sched);
@@ -1244,7 +1221,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
             self.stores[home.index()].apply_write(obj, value, txn, now);
             let version = self.stores[home.index()].read(obj).version;
             self.rt.install(home, obj, value, version, txn, now);
-            self.rt.record_write(txn, obj, home, now);
+            self.rt.write_applied(home, obj);
             for s in self.catalog.sites() {
                 if s != home {
                     self.send(
@@ -1262,9 +1239,9 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
                 }
             }
         }
-        // A snapshot reader logged nothing and locked nothing: it read a
+        // A snapshot reader wrote nothing and locked nothing: it read a
         // past serialised prefix of its replica.
-        self.rt.commit(txn, home, now, &exec.oplog);
+        self.rt.commit(txn, home, now);
         self.recycle_exec(exec);
         if self.is_snapshot_reader(txn) {
             self.rt.release_pin(home, txn, now);
@@ -1339,7 +1316,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
         if store.install_version(object, value, version, writer, now) {
             self.applied_updates += 1;
             self.rt.install(site, object, value, version, writer, now);
-            self.rt.record_write(txn, object, site, now);
+            self.rt.write_applied(site, object);
             if repair {
                 let kind = SimEventKind::ReplicaRepaired { object };
                 self.rt.emit(now, site, kind);
@@ -1579,11 +1556,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
                     self.send(
                         home,
                         primary,
-                        Message::RemoteRead {
-                            txn,
-                            object,
-                            from: home,
-                        },
+                        Message::RemoteRead { txn, from: home },
                         sched,
                     );
                 } else {
@@ -1608,29 +1581,12 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
                     sched.cancel(retry_ev);
                 }
             }
-            Message::RemoteRead { txn, object, from } => {
+            Message::RemoteRead { txn, from } => {
                 // Serve the read against the primary copy; the lock is held
                 // at the manager, so this access is safe.
-                let now = sched.now();
-                let served_seq = self.rt.next_op_seq();
-                self.send(
-                    to,
-                    from,
-                    Message::RemoteReadReply {
-                        txn,
-                        object,
-                        served_at: now,
-                        served_seq,
-                    },
-                    sched,
-                );
+                self.send(to, from, Message::RemoteReadReply { txn }, sched);
             }
-            Message::RemoteReadReply {
-                txn,
-                object,
-                served_at,
-                served_seq,
-            } => {
+            Message::RemoteReadReply { txn } => {
                 let Some(exec) = self.exec.get_mut(&txn) else {
                     return;
                 };
@@ -1638,9 +1594,6 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
                     return; // duplicated reply; the burst already ran
                 }
                 exec.awaiting_read = false;
-                let primary = self.catalog.primary_site(object);
-                exec.oplog
-                    .push((object, OpKind::Read, served_at, served_seq, primary));
                 let home = self.home(txn);
                 self.submit_cpu(txn, home, sched);
             }
@@ -1715,19 +1668,11 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
                 let Some(mut participant) = self.participants.remove(&(txn, to)) else {
                     // Abort already processed locally — or this is a
                     // retransmitted decision whose ack was lost: ack again
-                    // (idempotently empty) so the coordinator can stop.
+                    // (nothing is applied twice) so the coordinator can
+                    // stop.
                     self.resolved_participants.insert((txn, to));
                     if self.faults_active {
-                        self.send(
-                            to,
-                            coordinator,
-                            Message::AckMsg {
-                                txn,
-                                site: to,
-                                applied: Vec::new(),
-                            },
-                            sched,
-                        );
+                        self.send(to, coordinator, Message::AckMsg { txn, site: to }, sched);
                     }
                     return;
                 };
@@ -1735,7 +1680,6 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
                 let action = participant.on_decision(commit);
                 self.rt
                     .emit(sched.now(), to, SimEventKind::TwoPcResolved { txn, commit });
-                let mut applied = Vec::new();
                 if action == ParticipantAction::CommitAndAck {
                     let now = sched.now();
                     for &obj in &writes {
@@ -1752,23 +1696,12 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
                                     writer: txn,
                                 },
                             );
-                            let seq = self.rt.next_op_seq();
-                            applied.push((obj, now, seq));
                         }
                     }
                 }
-                self.send(
-                    to,
-                    coordinator,
-                    Message::AckMsg {
-                        txn,
-                        site: to,
-                        applied,
-                    },
-                    sched,
-                );
+                self.send(to, coordinator, Message::AckMsg { txn, site: to }, sched);
             }
-            Message::AckMsg { txn, site, applied } => {
+            Message::AckMsg { txn, site } => {
                 let Some(exec) = self.exec.get_mut(&txn) else {
                     return;
                 };
@@ -1776,11 +1709,7 @@ impl<S: EventSink<SimEvent>> DistModel<S> {
                     return;
                 };
                 if !coordinator.is_pending_ack(site) {
-                    return; // duplicated ack; ops were already recorded
-                }
-                for (obj, at, seq) in applied {
-                    let primary = self.catalog.primary_site(obj);
-                    exec.oplog.push((obj, OpKind::Write, at, seq, primary));
+                    return; // duplicated ack
                 }
                 let coordinator = exec.coordinator.as_mut().expect("checked above");
                 if let Some(CoordinatorAction::Done { committed }) = coordinator.on_ack(site) {
@@ -1947,7 +1876,12 @@ pub fn run_transactions_distributed_with<S: EventSink<SimEvent>>(
     let sites = catalog.site_count();
     let delays = config.topology.delay_matrix(sites, config.comm_delay);
     let (specs, arrivals) = site::intake(txns);
-    let rt = SiteRuntime::new(sink, sites as usize, config.temporal_versions);
+    let rt = SiteRuntime::new(
+        sink,
+        sites as usize,
+        catalog.db_size(),
+        config.temporal_versions,
+    );
     // Values needed after `config` moves into the model.
     let fail_site = config.fail_site;
     let crash_windows = config.faults.crashes.clone();
@@ -2046,6 +1980,8 @@ pub fn run_transactions_distributed_with<S: EventSink<SimEvent>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::single_site::check_store_integrity;
+    use monitor::CheckSink;
     use starlite::SimDuration;
     use workload::SizeDistribution;
 
@@ -2104,6 +2040,38 @@ mod tests {
         // global architecture (other stores stay at version 0).
         assert_eq!(report.stores[1].read(ObjectId(4)).version, 1);
         assert_eq!(report.stores[0].read(ObjectId(4)).version, 0);
+    }
+
+    #[test]
+    fn remote_2pc_writes_are_all_or_nothing_at_every_deadline() {
+        // Home site 0 writes objects 4 and 5, primary at sites 1 and 2, so
+        // both 2PC legs cross the network. Sweeping the deadline covers a
+        // miss before the prepare, one during voting (abort decision) and
+        // one after the commit decision (the writes stand).
+        let (mut undone, mut late, mut committed) = (0, 0, 0);
+        for deadline in (10..2_000).step_by(10) {
+            let cfg = config(CeilingArchitecture::GlobalManager, 100);
+            let mut check = CheckSink::new(cfg.check_config(3));
+            let report = run_transactions_distributed_with(
+                cfg,
+                &catalog(),
+                vec![update_txn(1, 0, deadline, 0, vec![4, 5])],
+                &mut check,
+            );
+            check.assert_clean(format!("deadline {deadline}"));
+            check_store_integrity(&report);
+            let applied = report.stores[1].read(ObjectId(4)).version;
+            assert_eq!(applied, report.stores[2].read(ObjectId(5)).version);
+            match (applied, report.stats.committed) {
+                (0, _) => undone += 1,
+                (_, 0) => late += 1,
+                _ => committed += 1,
+            }
+        }
+        assert!(
+            undone > 0 && late > 0 && committed > 0,
+            "{undone}/{late}/{committed}"
+        );
     }
 
     #[test]

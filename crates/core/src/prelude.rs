@@ -12,8 +12,7 @@ pub use crate::single_site::{
 };
 
 pub use monitor::{
-    check_conflict_serializable, ChromeTraceSink, MetricsSink, Monitor, Outcome, RunStats,
-    SimEvent, SimEventKind, Summary,
+    ChromeTraceSink, MetricsSink, Monitor, Outcome, RunStats, SimEvent, SimEventKind, Summary,
 };
 pub use netsim::DelayMatrix;
 pub use rtdb::{Catalog, LockMode, ObjectId, Placement, SiteId, TxnId, TxnKind, TxnSpec};

@@ -51,11 +51,11 @@ impl TemporalStats {
 
 /// Everything a finished run reports: the paper's headline metrics plus
 /// protocol- and kernel-level counters, and the full monitor for deeper
-/// inspection (histories, per-transaction records).
+/// inspection (per-transaction records).
 pub struct RunReport {
     /// Headline metrics (throughput, %missed, response times).
     pub stats: RunStats,
-    /// The monitor with per-transaction records and the committed history.
+    /// The monitor with per-transaction records.
     pub monitor: Monitor,
     /// Deadlocks detected (two-phase locking protocols only).
     pub deadlocks: u64,
@@ -76,6 +76,12 @@ pub struct RunReport {
     pub events: u64,
     /// Final object stores, one per site (a single-site run has one).
     pub stores: Vec<ObjectStore>,
+    /// Committed writes to each copy, indexed `[site][object]` like
+    /// [`RunReport::stores`]: a transaction's own writes at its primaries
+    /// (for two-phase commit, counted by the coordinator at its commit
+    /// decision, not by the participants that apply them) and, in
+    /// replicated runs, the replica installs.
+    pub committed_writes: Vec<Vec<u64>>,
     /// Temporal-consistency measurements, when multiversion reads were
     /// enabled.
     pub temporal: Option<TemporalStats>,

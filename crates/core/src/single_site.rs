@@ -9,8 +9,8 @@
 //!    lock; when granted, fetch the object (parallel I/O) and process it
 //!    (CPU burst under the protocol's scheduling policy, with preemption
 //!    and priority inheritance).
-//! 3. **Commit** — apply buffered writes, record the committed operations,
-//!    release all locks (two-phase: nothing was released earlier), retire
+//! 3. **Commit** — apply buffered writes, count them per copy, release
+//!    all locks (two-phase: nothing was released earlier), retire
 //!    from the active set.
 //! 4. **Deadline** — a transaction still running at its deadline is
 //!    aborted and counts as missed; its locks are released and waiters
@@ -20,16 +20,15 @@
 //!
 //! Writes increment the object's value by one, so a finished store must
 //! satisfy `value == version == committed writes` — an end-to-end
-//! correctness invariant the integration tests check alongside conflict
-//! serialisability.
+//! correctness invariant the integration tests check alongside the online
+//! oracle's conflict-serialisability check.
 
 use std::collections::VecDeque;
 use std::fmt;
 
 use monitor::{AbortReason, SimEvent, SimEventKind};
 use rtdb::{
-    Catalog, LatchOutcome, LockMode, ObjectId, OpKind, Placement, RangeLatchManager, SiteId, TxnId,
-    TxnSpec,
+    Catalog, LatchOutcome, LockMode, ObjectId, Placement, RangeLatchManager, SiteId, TxnId, TxnSpec,
 };
 use starlite::{
     Completion, Cpu, CpuToken, Engine, EventId, EventSink, FxHashMap, IoDevice, Model, NullSink,
@@ -40,7 +39,7 @@ use workload::{Generator, WorkloadSpec};
 use crate::config::{ReaderMode, SingleSiteConfig};
 use crate::protocols::{make_protocol, LockProtocol, ReleaseReason, RequestOutcome};
 use crate::report::RunReport;
-use crate::site::{self, LoggedOp, SiteRuntime};
+use crate::site::{self, SiteRuntime};
 
 /// Events of the single-site model.
 #[derive(Debug)]
@@ -66,9 +65,6 @@ enum Pending {
 
 #[derive(Debug)]
 struct Exec {
-    /// Home site of the transaction (the site its operations are logged
-    /// at).
-    home: SiteId,
     attempt: u32,
     step: usize,
     /// Data accesses: the objects actually read or written, in order.
@@ -77,7 +73,6 @@ struct Exec {
     /// granule's mode (write if the transaction writes anything in it).
     lock_seq: Vec<(ObjectId, LockMode)>,
     deadline_ev: EventId,
-    oplog: Vec<LoggedOp>,
     write_buffer: Vec<ObjectId>,
     /// Latch-scan mode: the latch guarding the current access is held (a
     /// reader's range latch, once acquired, stays held — and `latched`
@@ -145,17 +140,14 @@ impl<S: EventSink<SimEvent>> SiteModel<S> {
         self.rt.arrive(spec, SITE, now);
         let deadline_ev = sched.schedule(spec.deadline, Ev::Deadline(txn));
         let mut exec = self.exec_pool.pop().unwrap_or_else(|| Exec {
-            home: spec.home_site,
             attempt: 0,
             step: 0,
             seq: Vec::new(),
             lock_seq: Vec::new(),
             deadline_ev,
-            oplog: Vec::new(),
             write_buffer: Vec::new(),
             latched: false,
         });
-        exec.home = spec.home_site;
         exec.attempt = 0;
         exec.step = 0;
         exec.deadline_ev = deadline_ev;
@@ -207,7 +199,6 @@ impl<S: EventSink<SimEvent>> SiteModel<S> {
     /// Retires a transaction's execution record into the pool, keeping its
     /// vector capacities for the next arrival.
     fn recycle(&mut self, mut exec: Exec) {
-        exec.oplog.clear();
         exec.write_buffer.clear();
         self.exec_pool.push(exec);
     }
@@ -475,7 +466,6 @@ impl<S: EventSink<SimEvent>> SiteModel<S> {
             exec.attempt += 1;
             exec.step = 0;
             exec.latched = false;
-            exec.oplog.clear();
             exec.write_buffer.clear();
             self.rt.restart(txn, SITE, now);
             ReleaseReason::Restart
@@ -498,29 +488,21 @@ impl<S: EventSink<SimEvent>> SiteModel<S> {
         }
     }
 
-    /// The current step's access was just granted: record the operation
-    /// (the grant instant is the serialisation point — the lock is held
-    /// from here to commit, and timestamp ordering decides here), then
-    /// fetch the object; with a memory-resident database the fetch is
-    /// free and processing starts at once.
+    /// The current step's access was just granted: buffer a write, then
+    /// fetch the object; with a memory-resident database the fetch is free
+    /// and processing starts at once.
     fn start_io(&mut self, txn: TxnId, sched: &mut Scheduler<Ev>) {
         let now = sched.now();
         if self.reader_mode(txn) == Some(ReaderMode::Snapshot) {
-            // Versioned read at the pinned instant; records no history
-            // operation (the snapshot is invisible to serialisability —
-            // it reads a past, already-serialised prefix).
+            // Versioned read at the pinned instant (the snapshot is
+            // invisible to serialisability — it reads a past,
+            // already-serialised prefix).
             self.snapshot_read_step(txn, now);
         } else {
-            let seq = self.rt.next_op_seq();
             let exec = self.exec.get_mut(&txn).expect("granted txn is live");
             let (object, mode) = exec.seq[exec.step];
-            match mode {
-                LockMode::Read => exec.oplog.push((object, OpKind::Read, now, seq, exec.home)),
-                LockMode::Write => {
-                    exec.oplog
-                        .push((object, OpKind::Write, now, seq, exec.home));
-                    exec.write_buffer.push(object);
-                }
+            if mode == LockMode::Write {
+                exec.write_buffer.push(object);
             }
         }
         if self.config.io_per_object.is_zero() {
@@ -597,8 +579,8 @@ impl<S: EventSink<SimEvent>> SiteModel<S> {
         self.pump(sched);
     }
 
-    /// Commits: applies buffered writes, records history, releases locks,
-    /// retires the transaction.
+    /// Commits: applies and counts buffered writes, releases locks, retires
+    /// the transaction.
     fn commit(&mut self, txn: TxnId, sched: &mut Scheduler<Ev>) {
         let now = sched.now();
         let reader = self.reader_mode(txn);
@@ -607,14 +589,15 @@ impl<S: EventSink<SimEvent>> SiteModel<S> {
         for &obj in &exec.write_buffer {
             let value = self.store.read(obj).value + 1;
             self.store.apply_write(obj, value, txn, now);
+            self.rt.write_applied(SITE, obj);
             if self.rt.versioned() {
                 let version = self.store.read(obj).version;
                 self.rt.install(SITE, obj, value, version, txn, now);
             }
         }
-        // A snapshot reader logged nothing: it read a past serialised
-        // prefix, wrote nothing and locked nothing.
-        self.rt.commit(txn, SITE, now, &exec.oplog);
+        // A snapshot reader read a past serialised prefix, wrote nothing
+        // and locked nothing.
+        self.rt.commit(txn, SITE, now);
         self.recycle(exec);
         if reader.is_some() {
             self.rt.temporal.reader_committed += 1;
@@ -726,7 +709,7 @@ pub fn run_transactions_with<S: EventSink<SimEvent>>(
     sink: S,
 ) -> RunReport {
     let (specs, arrivals) = site::intake(txns);
-    let rt = SiteRuntime::new(sink, 1, config.mvcc.map(|m| m.keep));
+    let rt = SiteRuntime::new(sink, 1, catalog.db_size(), config.mvcc.map(|m| m.keep));
     let mut protocol = make_protocol(config.protocol, config.victim_policy);
     let mut cpu = Cpu::new(config.protocol.cpu_policy());
     if rt.tracing() {
@@ -787,24 +770,23 @@ pub fn run_transactions_with<S: EventSink<SimEvent>>(
 
 /// Verifies end-to-end value integrity of a finished run: every object's
 /// value equals its version, and the version equals the number of
-/// committed writes recorded for it at that site.
+/// committed writes applied to that copy
+/// ([`RunReport::committed_writes`]).
 ///
 /// # Panics
 ///
 /// Panics on any violated invariant.
 pub fn check_store_integrity(report: &RunReport) {
-    for (site_idx, store) in report.stores.iter().enumerate() {
-        let mut write_counts: FxHashMap<ObjectId, u64> = FxHashMap::default();
-        for op in report.monitor.history().operations() {
-            if op.kind == OpKind::Write && op.site.index() == site_idx {
-                *write_counts.entry(op.object).or_default() += 1;
-            }
-        }
+    for (site_idx, (store, writes)) in report
+        .stores
+        .iter()
+        .zip(&report.committed_writes)
+        .enumerate()
+    {
         for (id, obj) in store.iter() {
             assert_eq!(obj.value, obj.version, "{id} value != version");
             assert_eq!(
-                obj.version,
-                write_counts.get(&id).copied().unwrap_or(0),
+                obj.version, writes[id.0 as usize],
                 "{id} version != committed writes at site {site_idx}"
             );
         }
@@ -815,6 +797,7 @@ pub fn check_store_integrity(report: &RunReport) {
 mod tests {
     use super::*;
     use crate::config::ProtocolKind;
+    use monitor::CheckSink;
     use starlite::SimDuration;
     use workload::SizeDistribution;
 
@@ -859,17 +842,18 @@ mod tests {
     #[test]
     fn conflicting_transactions_serialise() {
         for kind in ProtocolKind::all() {
-            let report = run_transactions(
+            let mut check = CheckSink::new(config(kind).check_config());
+            let report = run_transactions_with(
                 config(kind),
                 &catalog(),
                 vec![
                     spec(0, 0, 10_000, vec![], vec![5]),
                     spec(1, 1, 10_000, vec![], vec![5]),
                 ],
+                &mut check,
             );
+            check.assert_clean(kind);
             assert_eq!(report.stats.committed, 2, "{kind} failed");
-            monitor::check_conflict_serializable(report.monitor.history())
-                .unwrap_or_else(|e| panic!("{kind}: {e}"));
         }
     }
 
@@ -896,26 +880,30 @@ mod tests {
         assert_eq!(report.stats.missed, 1);
         assert_eq!(report.stats.committed, 0);
         assert_eq!(report.stats.pct_missed, 100.0);
-        // The aborted transaction left nothing in the history.
-        assert!(report.monitor.history().is_empty());
+        // The aborted transaction applied no write.
+        assert!(report.committed_writes[0].iter().all(|&w| w == 0));
+        assert!(report.stores[0].iter().all(|(_, o)| o.version == 0));
     }
 
     #[test]
     fn deadlock_is_broken_and_both_commit() {
         // Classic crossing order: T0 takes O1 then O2; T1 takes O2 then O1.
         // Arrivals interleave so each grabs its first object.
-        let report = run_transactions(
-            config(ProtocolKind::TwoPhaseLockingPriority),
+        let config = config(ProtocolKind::TwoPhaseLockingPriority);
+        let mut check = CheckSink::new(config.check_config());
+        let report = run_transactions_with(
+            config,
             &catalog(),
             vec![
                 spec(0, 0, 100_000, vec![], vec![1, 2]),
                 spec(1, 5, 100_000, vec![], vec![2, 1]),
             ],
+            &mut check,
         );
+        check.assert_clean(config.protocol);
         assert_eq!(report.deadlocks, 1);
         assert_eq!(report.stats.committed, 2);
         assert!(report.stats.restarts >= 1);
-        monitor::check_conflict_serializable(report.monitor.history()).unwrap();
     }
 
     #[test]
@@ -962,14 +950,15 @@ mod tests {
             .deadline(2.0, SimDuration::from_ticks(30))
             .build();
         for kind in ProtocolKind::all() {
-            let report = Simulator::new(config(kind), cat.clone(), &workload).run(3);
+            let mut check = CheckSink::new(config(kind).check_config());
+            let report =
+                Simulator::new(config(kind), cat.clone(), &workload).run_with(3, &mut check);
+            check.assert_clean(kind);
             assert_eq!(report.stats.processed, 80, "{kind}");
             assert!(
                 report.stats.missed > 0,
                 "{kind} missed nothing under overload"
             );
-            monitor::check_conflict_serializable(report.monitor.history())
-                .unwrap_or_else(|e| panic!("{kind}: {e}"));
         }
     }
 }

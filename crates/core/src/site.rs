@@ -8,10 +8,11 @@
 //! * **Run intake** — [`intake`] builds the spec map (rejecting duplicate
 //!   ids and ids in the system range) and [`schedule_arrivals`] puts the
 //!   arrivals on the event queue.
-//! * **Lifecycle recording** — [`SiteRuntime`] owns the [`Monitor`], the
-//!   event sink and the logical operation counter. It has one method per
-//!   lifecycle fact (arrive, start, block, unblock, restart, abort,
-//!   commit); each updates the monitor and emits the matching event.
+//! * **Lifecycle recording** — [`SiteRuntime`] owns the [`Monitor`] and
+//!   the event sink. It has one method per lifecycle fact (arrive, start,
+//!   block, unblock, restart, abort, commit); each updates the monitor and
+//!   emits the matching event. It also counts the committed writes to
+//!   each copy, which [`RunReport::committed_writes`] exposes.
 //!   [`lower_priority_blocker`] is the one rule deciding which blockers
 //!   the monitor charges as priority inversions.
 //! * **Event plumbing** — one sink-gated [`SiteRuntime::emit`] and the
@@ -26,7 +27,7 @@
 //! faults and repair.
 
 use monitor::{AbortReason, Monitor, RunStats, SimEvent, SimEventKind};
-use rtdb::{ObjectId, ObjectStore, OpKind, Operation, SiteId, TxnId, TxnSpec};
+use rtdb::{ObjectId, ObjectStore, SiteId, TxnId, TxnSpec};
 use starlite::{
     Cpu, CpuJournalEntry, CpuJournalKind, EventSink, FxHashMap, Scheduler, SimDuration, SimTime,
 };
@@ -34,11 +35,6 @@ use starlite::{
 use crate::mvcc::{SnapshotId, VersionStore};
 use crate::protocols::LockProtocol;
 use crate::report::{RunReport, TemporalStats};
-
-/// One data operation buffered until its transaction commits: object,
-/// kind, the instant it took effect, its logical sequence number, and the
-/// site of the copy it touched.
-pub(crate) type LoggedOp = (ObjectId, OpKind, SimTime, u64, SiteId);
 
 /// Builds the spec map of a run and its arrival list (in input order).
 ///
@@ -147,9 +143,8 @@ pub(crate) struct SiteRuntime<S> {
     /// Structured event sink ([`starlite::NullSink`] in the default
     /// configuration: every emit and drain then compiles to nothing).
     sink: S,
-    /// Logical operation counter: assigned in event-execution order so
-    /// histories stay totally ordered per copy even within one tick.
-    op_seq: u64,
+    /// Committed writes applied per copy, indexed `[site][object]`.
+    committed_writes: Vec<Vec<u64>>,
     /// Scratch for draining protocol / CPU journals without reallocating.
     scratch_events: Vec<SimEventKind>,
     scratch_cpu: Vec<CpuJournalEntry<TxnId>>,
@@ -159,9 +154,10 @@ pub(crate) struct SiteRuntime<S> {
 }
 
 impl<S: EventSink<SimEvent>> SiteRuntime<S> {
-    /// A runtime for `sites` sites, each with a version store retaining
-    /// `keep` versions per object when `keep` is set.
-    pub(crate) fn new(sink: S, sites: usize, keep: Option<usize>) -> Self {
+    /// A runtime for `sites` sites of `objects` objects each, every site
+    /// with a version store retaining `keep` versions per object when
+    /// `keep` is set.
+    pub(crate) fn new(sink: S, sites: usize, objects: u32, keep: Option<usize>) -> Self {
         let versions = match keep {
             Some(keep) => (0..sites)
                 .map(|_| SiteVersions {
@@ -174,7 +170,7 @@ impl<S: EventSink<SimEvent>> SiteRuntime<S> {
         SiteRuntime {
             monitor: Monitor::new(),
             sink,
-            op_seq: 0,
+            committed_writes: vec![vec![0; objects as usize]; sites],
             scratch_events: Vec::new(),
             scratch_cpu: Vec::new(),
             versions,
@@ -238,13 +234,6 @@ impl<S: EventSink<SimEvent>> SiteRuntime<S> {
 
     // ----- lifecycle ----------------------------------------------------
 
-    /// Takes the next logical operation number.
-    pub(crate) fn next_op_seq(&mut self) -> u64 {
-        let seq = self.op_seq;
-        self.op_seq += 1;
-        seq
-    }
-
     /// A transaction entered the system at `site`.
     pub(crate) fn arrive(&mut self, spec: &TxnSpec, site: SiteId, at: SimTime) {
         let (txn, priority) = (spec.id, spec.base_priority());
@@ -302,30 +291,13 @@ impl<S: EventSink<SimEvent>> SiteRuntime<S> {
         self.emit(at, site, SimEventKind::TxnAborted { txn, reason });
     }
 
-    /// Adds `txn`'s buffered operations to the committed history.
-    pub(crate) fn record_ops(&mut self, txn: TxnId, ops: &[LoggedOp]) {
-        for &(object, kind, at, seq, site) in ops {
-            self.monitor.record_op(Operation {
-                txn,
-                object,
-                kind,
-                at,
-                seq,
-                site,
-            });
-        }
+    /// Counts one committed write to `object`'s copy at `site`.
+    pub(crate) fn write_applied(&mut self, site: SiteId, object: ObjectId) {
+        self.committed_writes[site.index()][object.0 as usize] += 1;
     }
 
-    /// Records a write applied at `site` right now, under the next
-    /// operation number.
-    pub(crate) fn record_write(&mut self, txn: TxnId, object: ObjectId, site: SiteId, at: SimTime) {
-        let seq = self.next_op_seq();
-        self.record_ops(txn, &[(object, OpKind::Write, at, seq, site)]);
-    }
-
-    /// A transaction committed, with the operations it buffered.
-    pub(crate) fn commit(&mut self, txn: TxnId, site: SiteId, at: SimTime, ops: &[LoggedOp]) {
-        self.record_ops(txn, ops);
+    /// A transaction committed.
+    pub(crate) fn commit(&mut self, txn: TxnId, site: SiteId, at: SimTime) {
         self.monitor.on_commit(txn, at);
         self.emit(at, site, SimEventKind::TxnCommitted { txn });
     }
@@ -409,8 +381,8 @@ impl<S: EventSink<SimEvent>> SiteRuntime<S> {
     // ----- report -------------------------------------------------------
 
     /// The report fields every run shares: headline statistics from the
-    /// monitor, CPU totals over `cpus`, the final stores and the temporal
-    /// measurements. Protocol and network counters are left at zero for
+    /// monitor, CPU totals over `cpus`, the final stores with their
+    /// committed-write counts and the temporal measurements. Protocol and network counters are left at zero for
     /// the model to fill in.
     pub(crate) fn report(
         self,
@@ -431,6 +403,7 @@ impl<S: EventSink<SimEvent>> SiteRuntime<S> {
             temporal: self.versioned().then(|| self.temporal.stats()),
             monitor: self.monitor,
             stores,
+            committed_writes: self.committed_writes,
         }
     }
 }

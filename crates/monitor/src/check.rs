@@ -6,7 +6,12 @@
 //!
 //! 1. **Conflict serialisability** — an incremental conflict graph over
 //!    lock grants; a cycle through committed transactions is reported the
-//!    moment its last member commits.
+//!    moment its last member commits. System (replica-apply) transactions
+//!    never emit a commit: each counts as committed once it has released
+//!    every lock it took. A transaction aborted at its deadline after a
+//!    commit decision stays in the graph as committed, because its writes
+//!    stand. A committed transaction with no in-edge can never join a
+//!    cycle, so it is pruned, and an access after commit is a violation.
 //! 2. **Ceiling-protocol properties** — a transaction blocks at most once
 //!    per activation, the ceiling recorded for a locked object never
 //!    decreases while the lock is held, the waits-for graph stays acyclic,
@@ -228,6 +233,8 @@ pub struct CheckSink {
     out_edges: FxHashMap<TxnId, FxHashSet<TxnId>>,
     in_edges: FxHashMap<TxnId, FxHashSet<TxnId>>,
     committed: FxHashSet<TxnId>,
+    /// Locks each system transaction holds; it commits when they reach 0.
+    system_locks: FxHashMap<TxnId, u32>,
 
     // --- lock table ------------------------------------------------------
     holders: FxHashMap<CopyKey, FxHashMap<TxnId, (LockMode, Anchor)>>,
@@ -275,6 +282,7 @@ impl CheckSink {
             out_edges: FxHashMap::default(),
             in_edges: FxHashMap::default(),
             committed: FxHashSet::default(),
+            system_locks: FxHashMap::default(),
             holders: FxHashMap::default(),
             waiters: FxHashMap::default(),
             blocks: FxHashMap::default(),
@@ -311,6 +319,22 @@ impl CheckSink {
         self.violations
     }
 
+    /// Ends the run like [`CheckSink::finish`] and panics, listing every
+    /// violation, unless the run was clean. `what` names the run in the
+    /// panic message.
+    pub fn assert_clean(self, what: impl fmt::Display) {
+        let violations = self.finish();
+        assert!(
+            violations.is_empty(),
+            "{what}: {} oracle violations:\n{}",
+            violations.len(),
+            violations
+                .iter()
+                .map(ToString::to_string)
+                .collect::<String>()
+        );
+    }
+
     fn violation(&mut self, invariant: &'static str, message: String, mut events: Vec<Anchor>) {
         if self.violations.len() >= MAX_VIOLATIONS {
             self.dropped += 1;
@@ -328,8 +352,14 @@ impl CheckSink {
 
     /// Records an access and adds conflict edges from every prior
     /// conflicting accessor of the same copy.
-    fn record_access(&mut self, txn: TxnId, copy: CopyKey, writes: bool) {
-        if txn.is_system() {
+    fn record_access(&mut self, txn: TxnId, copy: CopyKey, writes: bool, anchor: Anchor) {
+        if self.committed.contains(&txn) {
+            // Pruning relies on this: a committed node gains no in-edge.
+            self.violation(
+                "txn-accounting",
+                format!("{txn} accessed {} after it committed", ObjectId(copy.1)),
+                vec![anchor],
+            );
             return;
         }
         let accessors = self.copy_access.entry(copy).or_default();
@@ -347,20 +377,6 @@ impl CheckSink {
     /// Drops an aborted (or restarted) transaction from the conflict
     /// graph: its accesses are undone and cannot order anyone.
     fn forget_txn(&mut self, txn: TxnId) {
-        if let Some(copies) = self.txn_copies.remove(&txn) {
-            for copy in copies {
-                if let Some(accessors) = self.copy_access.get_mut(&copy) {
-                    accessors.remove(&txn);
-                }
-            }
-        }
-        if let Some(outs) = self.out_edges.remove(&txn) {
-            for dst in outs {
-                if let Some(set) = self.in_edges.get_mut(&dst) {
-                    set.remove(&txn);
-                }
-            }
-        }
         if let Some(ins) = self.in_edges.remove(&txn) {
             for src in ins {
                 if let Some(set) = self.out_edges.get_mut(&src) {
@@ -369,6 +385,43 @@ impl CheckSink {
             }
         }
         self.committed.remove(&txn);
+        self.remove_node(txn);
+    }
+
+    /// Removes `txn`'s accesses and out-edges from the graph, then prunes
+    /// every committed successor left without an in-edge.
+    fn remove_node(&mut self, txn: TxnId) {
+        let mut stack = vec![txn];
+        while let Some(node) = stack.pop() {
+            if let Some(copies) = self.txn_copies.remove(&node) {
+                for copy in copies {
+                    if let Some(accessors) = self.copy_access.get_mut(&copy) {
+                        accessors.remove(&node);
+                    }
+                }
+            }
+            for dst in self.out_edges.remove(&node).into_iter().flatten() {
+                let ins = self.in_edges.get_mut(&dst).expect("edges are symmetric");
+                ins.remove(&node);
+                if ins.is_empty() {
+                    self.in_edges.remove(&dst);
+                    if self.committed.contains(&dst) {
+                        stack.push(dst);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Marks `txn` committed, checks for a cycle it completes, and prunes
+    /// it if nothing points into it: a committed transaction accesses
+    /// nothing more, so it can never gain an in-edge or join a cycle.
+    fn commit_txn(&mut self, txn: TxnId, anchor: Anchor) {
+        self.committed.insert(txn);
+        self.check_commit_cycle(txn, anchor);
+        if !self.in_edges.contains_key(&txn) {
+            self.remove_node(txn);
+        }
     }
 
     /// DFS from the just-committed transaction over committed nodes only;
@@ -417,7 +470,7 @@ impl CheckSink {
     // --- lock table ------------------------------------------------------
 
     fn on_grant(&mut self, site: u8, txn: TxnId, object: ObjectId, mode: LockMode, anchor: Anchor) {
-        self.record_access(txn, (site, object.0), mode == LockMode::Write);
+        self.record_access(txn, (site, object.0), mode == LockMode::Write, anchor);
         if !self.config.exclusive_locks {
             return;
         }
@@ -437,6 +490,9 @@ impl CheckSink {
             .map(|(_, (_, a))| *a)
             .collect();
         holders.insert(txn, (mode, anchor));
+        if txn.is_system() {
+            *self.system_locks.entry(txn).or_default() += 1;
+        }
         if !conflicting.is_empty() {
             let mut events = conflicting;
             events.push(anchor);
@@ -451,7 +507,7 @@ impl CheckSink {
     }
 
     fn on_upgrade(&mut self, site: u8, txn: TxnId, object: ObjectId, anchor: Anchor) {
-        self.record_access(txn, (site, object.0), true);
+        self.record_access(txn, (site, object.0), true, anchor);
         if !self.config.exclusive_locks {
             return;
         }
@@ -500,6 +556,16 @@ impl CheckSink {
             .get_mut(&copy)
             .and_then(|h| h.remove(&txn))
             .is_some();
+        // A system transaction commits with its last release. (A stream
+        // can hand it a lock the count never saw — an upgrade without a
+        // hold — so a missing count is not an invariant.)
+        if let Some(held) = self.system_locks.get_mut(&txn).filter(|_| removed) {
+            *held -= 1;
+            if *held == 0 {
+                self.system_locks.remove(&txn);
+                self.commit_txn(txn, anchor);
+            }
+        }
         // In distributed runs a failure-detector release at the manager
         // can follow a crash that already wiped the table; only a
         // single-site release can never miss.
@@ -1002,13 +1068,23 @@ impl EventSink<SimEvent> for CheckSink {
                         );
                     }
                 }
-                self.committed.insert(txn);
-                self.check_commit_cycle(txn, anchor);
+                self.commit_txn(txn, anchor);
             }
             SimEventKind::TxnAborted { txn, reason } => {
                 let restart = reason == AbortReason::DeadlockVictim && self.config.restart_victims;
                 self.on_terminal(txn, restart, anchor);
-                self.forget_txn(txn);
+                // A deadline that passes after the commit decision cannot
+                // retract it: the writes stand.
+                let decided = reason == AbortReason::DeadlineMissed
+                    && self
+                        .twopc
+                        .get(&txn)
+                        .is_some_and(|rec| matches!(rec.decided, Some((true, _))));
+                if decided {
+                    self.commit_txn(txn, anchor);
+                } else {
+                    self.forget_txn(txn);
+                }
             }
             SimEventKind::LockGranted { txn, object, mode } => {
                 self.on_grant(site, txn, object, mode, anchor);
@@ -1322,6 +1398,321 @@ mod tests {
                     },
                 ),
                 (6, committed(1)),
+            ],
+        );
+        assert!(violations.is_empty(), "{violations:?}");
+    }
+
+    /// Grants without lock-table discipline: only the conflict graph
+    /// judges these streams.
+    fn graph_only() -> CheckConfig {
+        CheckConfig {
+            exclusive_locks: false,
+            ..CheckConfig::default()
+        }
+    }
+
+    fn serializability_fired(violations: &[Violation]) -> bool {
+        violations
+            .iter()
+            .any(|v| v.invariant == "conflict-serializability")
+    }
+
+    #[test]
+    fn decided_late_commit_stays_in_the_graph() {
+        // T1 and T2 write O1 and O2 in opposite orders. T1's commit
+        // decision is broadcast, then its deadline passes: its writes
+        // stand, so T2's commit closes a cycle.
+        let txn = TxnId(1);
+        let violations = run(
+            graph_only(),
+            &[
+                (0, arrived(1)),
+                (0, arrived(2)),
+                (1, grant(1, 1, LockMode::Write)),
+                (2, grant(2, 2, LockMode::Write)),
+                (3, grant(1, 2, LockMode::Write)),
+                (4, grant(2, 1, LockMode::Write)),
+                (
+                    5,
+                    SimEventKind::TwoPcStarted {
+                        txn,
+                        participants: 1,
+                    },
+                ),
+                (5, SimEventKind::TwoPcVoted { txn, yes: true }),
+                (6, SimEventKind::TwoPcDecided { txn, commit: true }),
+                (
+                    7,
+                    SimEventKind::TxnAborted {
+                        txn,
+                        reason: AbortReason::DeadlineMissed,
+                    },
+                ),
+                (8, committed(2)),
+            ],
+        );
+        assert!(serializability_fired(&violations), "{violations:?}");
+    }
+
+    #[test]
+    fn read_read_adds_no_edge() {
+        // Reads of O1 and O2 in opposite orders: a cycle only if
+        // read-read pairs conflicted.
+        let violations = run(
+            graph_only(),
+            &[
+                (0, arrived(1)),
+                (0, arrived(2)),
+                (1, grant(1, 1, LockMode::Read)),
+                (2, grant(2, 1, LockMode::Read)),
+                (3, grant(2, 2, LockMode::Read)),
+                (4, grant(1, 2, LockMode::Read)),
+                (5, committed(1)),
+                (6, committed(2)),
+            ],
+        );
+        assert!(violations.is_empty(), "{violations:?}");
+    }
+
+    #[test]
+    fn one_object_at_two_sites_is_two_copies() {
+        // T2 writes O1 at site 1 before T1 writes it at site 0, and T1
+        // writes O2 before T2 at site 0: a cycle only if the two copies
+        // of O1 were one.
+        let at = |site: u8, kind| SimEvent::new(SiteId(site), kind);
+        let mut sink = CheckSink::new(graph_only());
+        for (ticks, event) in [
+            (0, at(0, arrived(1))),
+            (0, at(0, arrived(2))),
+            (1, at(1, grant(2, 1, LockMode::Write))),
+            (2, at(0, grant(1, 1, LockMode::Write))),
+            (3, at(0, grant(1, 2, LockMode::Write))),
+            (4, at(0, grant(2, 2, LockMode::Write))),
+            (5, at(0, committed(1))),
+            (6, at(0, committed(2))),
+        ] {
+            sink.emit(t(ticks), event);
+        }
+        let violations = sink.finish();
+        assert!(violations.is_empty(), "{violations:?}");
+    }
+
+    #[test]
+    fn repeated_accesses_add_no_self_edge() {
+        let violations = run(
+            CheckConfig::default(),
+            &[
+                (0, arrived(1)),
+                (1, grant(1, 1, LockMode::Read)),
+                (
+                    2,
+                    SimEventKind::LockUpgraded {
+                        txn: TxnId(1),
+                        object: ObjectId(1),
+                    },
+                ),
+                (3, grant(1, 1, LockMode::Write)),
+                (4, committed(1)),
+                (5, release(1, 1)),
+            ],
+        );
+        assert!(violations.is_empty(), "{violations:?}");
+    }
+
+    #[test]
+    fn committed_sources_are_pruned_in_a_cascade() {
+        // T1 -> T2 on O1. T2 commits first and keeps its in-edge; T1's
+        // commit prunes T1 and then T2, which leaves the graph empty.
+        let mut sink = CheckSink::new(graph_only());
+        for (at, kind) in [
+            (0, arrived(1)),
+            (0, arrived(2)),
+            (1, grant(1, 1, LockMode::Write)),
+            (2, grant(2, 1, LockMode::Read)),
+            (3, committed(2)),
+        ] {
+            sink.emit(t(at), ev(kind));
+        }
+        assert!(sink.txn_copies.contains_key(&TxnId(2)));
+        sink.emit(t(4), ev(committed(1)));
+        assert!(sink.txn_copies.is_empty());
+        assert!(sink.in_edges.is_empty() && sink.out_edges.is_empty());
+        assert!(sink.copy_access.values().all(FxHashMap::is_empty));
+        assert!(sink.finish().is_empty());
+    }
+
+    #[test]
+    fn access_after_commit_fires_accounting() {
+        let violations = run(
+            CheckConfig::default(),
+            &[
+                (0, arrived(1)),
+                (1, grant(1, 1, LockMode::Write)),
+                (2, committed(1)),
+                (3, release(1, 1)),
+                (4, grant(1, 2, LockMode::Read)),
+                (5, release(1, 2)),
+            ],
+        );
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert_eq!(violations[0].invariant, "txn-accounting");
+    }
+
+    #[test]
+    fn system_apply_access_closes_a_cycle() {
+        // T1 reads O1 and lets go early; the replica apply S overwrites
+        // it; T2 reads S's value and writes O3, which T1 then reads. S
+        // never commits explicitly: releasing its last lock commits it,
+        // and T1's commit closes T1 -> S -> T2 -> T1.
+        let sys = rtdb::SYSTEM_TXN_BASE + 1;
+        let violations = run(
+            CheckConfig::default(),
+            &[
+                (0, arrived(1)),
+                (0, arrived(2)),
+                (1, grant(1, 1, LockMode::Read)),
+                (2, release(1, 1)),
+                (3, grant(sys, 1, LockMode::Write)),
+                (4, release(sys, 1)),
+                (5, grant(2, 1, LockMode::Read)),
+                (6, grant(2, 3, LockMode::Write)),
+                (7, committed(2)),
+                (8, release(2, 1)),
+                (8, release(2, 3)),
+                (9, grant(1, 3, LockMode::Read)),
+                (10, committed(1)),
+                (11, release(1, 3)),
+            ],
+        );
+        let v = violations
+            .iter()
+            .find(|v| v.invariant == "conflict-serializability")
+            .expect("serializability fires");
+        assert!(v.message.contains(&TxnId(sys).to_string()), "{}", v.message);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+    }
+
+    #[test]
+    fn empty_stream_passes() {
+        assert!(run(graph_only(), &[]).is_empty());
+    }
+
+    #[test]
+    fn serial_accesses_pass() {
+        // T1 writes O1 and O2, then T2 reads O1 and writes O2: every
+        // edge runs T1 -> T2.
+        let violations = run(
+            graph_only(),
+            &[
+                (0, arrived(1)),
+                (0, arrived(2)),
+                (1, grant(1, 1, LockMode::Write)),
+                (2, grant(1, 2, LockMode::Write)),
+                (3, committed(1)),
+                (10, grant(2, 1, LockMode::Read)),
+                (11, grant(2, 2, LockMode::Write)),
+                (12, committed(2)),
+            ],
+        );
+        assert!(violations.is_empty(), "{violations:?}");
+    }
+
+    #[test]
+    fn read_write_interleaving_fires_serializability() {
+        // T1:r(O1)  T2:w(O1)  T2:w(O2)  T1:w(O2) — a read-write edge
+        // T1 -> T2 and a write-write edge T2 -> T1.
+        let violations = run(
+            graph_only(),
+            &[
+                (0, arrived(1)),
+                (0, arrived(2)),
+                (1, grant(1, 1, LockMode::Read)),
+                (2, grant(2, 1, LockMode::Write)),
+                (3, grant(2, 2, LockMode::Write)),
+                (4, grant(1, 2, LockMode::Write)),
+                (5, committed(2)),
+                (6, committed(1)),
+            ],
+        );
+        let v = violations
+            .iter()
+            .find(|v| v.invariant == "conflict-serializability")
+            .expect("serializability fires");
+        assert!(
+            v.message.ends_with("T1 -> T2") || v.message.ends_with("T2 -> T1"),
+            "{}",
+            v.message
+        );
+    }
+
+    #[test]
+    fn write_read_and_read_write_both_conflict() {
+        // T1:w(O1)  T2:r(O1)  T2:r(O2)  T1:w(O2) — a cycle only if a
+        // write-then-read and a read-then-write pair each add an edge.
+        let violations = run(
+            graph_only(),
+            &[
+                (0, arrived(1)),
+                (0, arrived(2)),
+                (1, grant(1, 1, LockMode::Write)),
+                (2, grant(2, 1, LockMode::Read)),
+                (3, grant(2, 2, LockMode::Read)),
+                (4, grant(1, 2, LockMode::Write)),
+                (5, committed(1)),
+                (6, committed(2)),
+            ],
+        );
+        assert!(serializability_fired(&violations), "{violations:?}");
+    }
+
+    #[test]
+    fn same_tick_grants_are_ordered_by_emission() {
+        // Every grant lands on tick 5; emission order puts T1 first on
+        // both objects, so there is no cycle.
+        let violations = run(
+            graph_only(),
+            &[
+                (0, arrived(1)),
+                (0, arrived(2)),
+                (5, grant(1, 1, LockMode::Write)),
+                (5, grant(2, 1, LockMode::Write)),
+                (5, grant(1, 2, LockMode::Write)),
+                (5, grant(2, 2, LockMode::Write)),
+                (5, committed(1)),
+                (5, committed(2)),
+            ],
+        );
+        assert!(violations.is_empty(), "{violations:?}");
+    }
+
+    #[test]
+    fn restarted_victim_forgets_its_first_activation() {
+        // T1's first activation writes O1 before T2 does; T1 is then
+        // restarted as a deadlock victim and writes O1 and O2 after T2
+        // commits. Only the surviving accesses order the two: T2 -> T1.
+        let violations = run(
+            CheckConfig {
+                restart_victims: true,
+                ..graph_only()
+            },
+            &[
+                (0, arrived(1)),
+                (0, arrived(2)),
+                (1, grant(1, 1, LockMode::Write)),
+                (2, grant(2, 2, LockMode::Write)),
+                (
+                    3,
+                    SimEventKind::TxnAborted {
+                        txn: TxnId(1),
+                        reason: AbortReason::DeadlockVictim,
+                    },
+                ),
+                (4, grant(2, 1, LockMode::Write)),
+                (5, committed(2)),
+                (6, grant(1, 1, LockMode::Write)),
+                (7, grant(1, 2, LockMode::Write)),
+                (8, committed(1)),
             ],
         );
         assert!(violations.is_empty(), "{violations:?}");

@@ -16,15 +16,14 @@
 //! * [`ci`] — mean / standard deviation / 95 % confidence intervals over
 //!   the 10-seed replication the paper averages over;
 //! * [`csv`] — tabular export of experiment series;
-//! * [`serializability`] — conflict-graph checking of committed histories,
-//!   the correctness bar every protocol must clear;
 //! * [`events`] — the unified structured event model ([`events::SimEvent`])
 //!   with the metrics, Chrome-trace and blocking-chain-explainer sinks;
 //! * [`episode`] — the blocking-episode rule ([`episode::EpisodeTracker`])
 //!   every blocking measurement above and below is folded from;
 //! * [`check`] — the online invariant oracle ([`check::CheckSink`]):
-//!   serialisability, ceiling properties, lock legality, accounting/2PC
-//!   and replica coherence checked continuously against the event stream;
+//!   conflict serialisability (the correctness bar every protocol must
+//!   clear), ceiling properties, lock legality, accounting/2PC and replica
+//!   coherence checked continuously against the event stream;
 //! * [`hist`] — log-scaled (HDR-style) histograms for blocking / latency
 //!   tails;
 //! * [`profile`] — the contention profiler ([`profile::ContentionProfiler`]):
@@ -50,7 +49,6 @@ pub mod jsonl;
 pub mod plot;
 pub mod profile;
 pub mod record;
-pub mod serializability;
 pub mod timeseries;
 
 pub use aggregate::RunStats;
@@ -65,5 +63,4 @@ pub use hist::Histogram;
 pub use jsonl::{read_jsonl, JsonlSink};
 pub use profile::{ContentionProfiler, ContentionReport};
 pub use record::{Monitor, Outcome, TxnRecord};
-pub use serializability::{check_conflict_serializable, SerializabilityError};
 pub use timeseries::TimeSeriesSink;

@@ -3,7 +3,7 @@
 use starlite::FxHashMap;
 use std::fmt;
 
-use rtdb::{History, Operation, TxnId, TxnKind, TxnSpec};
+use rtdb::{TxnId, TxnKind, TxnSpec};
 use starlite::{SimDuration, SimTime};
 
 /// Final disposition of a processed transaction.
@@ -81,8 +81,8 @@ impl TxnRecord {
     }
 }
 
-/// The performance monitor: collects [`TxnRecord`]s and the committed
-/// operation [`History`] during one simulation run.
+/// The performance monitor: collects one [`TxnRecord`] per transaction
+/// during a simulation run.
 ///
 /// # Example
 ///
@@ -108,14 +108,12 @@ impl TxnRecord {
 #[derive(Default)]
 pub struct Monitor {
     records: FxHashMap<TxnId, TxnRecord>,
-    history: History,
 }
 
 impl fmt::Debug for Monitor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Monitor")
             .field("transactions", &self.records.len())
-            .field("history_ops", &self.history.len())
             .finish()
     }
 }
@@ -214,16 +212,6 @@ impl Monitor {
         r.finish = Some(now);
     }
 
-    /// Records one committed data operation.
-    pub fn record_op(&mut self, op: Operation) {
-        self.history.record(op);
-    }
-
-    /// Removes the operations of an aborted transaction from the history.
-    pub fn expunge_ops(&mut self, txn: TxnId) {
-        self.history.expunge(txn);
-    }
-
     /// The record of `txn`, if registered.
     pub fn record(&self, txn: TxnId) -> Option<&TxnRecord> {
         self.records.get(&txn)
@@ -242,11 +230,6 @@ impl Monitor {
     /// `true` when no transaction was registered.
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
-    }
-
-    /// The committed-operation history.
-    pub fn history(&self) -> &History {
-        &self.history
     }
 
     fn rec(&mut self, txn: TxnId) -> &mut TxnRecord {

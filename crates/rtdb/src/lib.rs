@@ -15,19 +15,19 @@
 //!   writes without per-object locks.
 //! * [`wfg`] — the waits-for graph and deadlock (cycle) detection.
 //! * [`txn`] — transaction specifications, runtime state and statistics.
-//! * [`history`] — committed-operation logs for serialisability checking.
 //! * [`commit`] — two-phase commit coordinator / participant state machines.
 //!
 //! Data objects carry actual `u64` values so correctness (not just timing)
-//! of the protocols is testable: committed histories must be conflict
-//! serialisable, and replicated reads must observe committed versions.
+//! of the protocols is testable: every committed write increments its
+//! object once, and replicated reads must observe committed versions.
+//! Conflict serialisability is judged online from the event stream by
+//! the [`monitor`](../../monitor) crate's oracle.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod catalog;
 pub mod commit;
-pub mod history;
 pub mod ids;
 pub mod latch;
 pub mod lock;
@@ -39,7 +39,6 @@ pub mod wfg;
 
 pub use catalog::{Catalog, Placement};
 pub use commit::{Coordinator, CoordinatorAction, Participant, ParticipantAction, Vote};
-pub use history::{History, OpKind, Operation};
 pub use ids::{ObjectId, SiteId, TxnId, SYSTEM_TXN_BASE};
 pub use latch::{GrantedLatch, LatchOutcome, RangeLatchManager};
 pub use lock::{

@@ -5,6 +5,7 @@
 //! cargo run --release --example distributed_ceiling
 //! ```
 
+use monitor::CheckSink;
 use rtlock::distributed::{CeilingArchitecture, DistributedConfig, DistributedSimulator};
 use rtlock::prelude::*;
 
@@ -34,9 +35,11 @@ fn main() {
                 .cpu_per_object(SimDuration::from_ticks(1_000))
                 .apply_cost(SimDuration::from_ticks(100))
                 .build();
-            let report = DistributedSimulator::new(config, catalog.clone(), &workload).run(11);
-            check_conflict_serializable(report.monitor.history())
-                .expect("distributed histories must be serialisable per copy");
+            // Per-copy serialisability and the rest of the oracle.
+            let mut check = CheckSink::new(config.check_config(catalog.site_count()));
+            let report = DistributedSimulator::new(config, catalog.clone(), &workload)
+                .run_with(11, &mut check);
+            check.assert_clean(format!("{} delay {delay_ticks}", arch.label()));
             println!(
                 "{:>6} {:>8} {:>10.0} {:>9.1} {:>10}",
                 delay_ticks,

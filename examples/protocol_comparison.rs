@@ -5,6 +5,7 @@
 //! cargo run --release --example protocol_comparison
 //! ```
 
+use monitor::CheckSink;
 use rtlock::prelude::*;
 
 fn main() {
@@ -36,9 +37,11 @@ fn main() {
         let seeds = 5;
         let (mut thr, mut miss, mut dl, mut blocked) = (0.0, 0.0, 0u64, 0.0);
         for seed in 0..seeds {
-            let report = sim.run(seed);
-            check_conflict_serializable(report.monitor.history())
-                .expect("every protocol must produce serialisable histories");
+            // Every protocol must pass the online oracle, conflict
+            // serialisability included.
+            let mut check = CheckSink::new(config.check_config());
+            let report = sim.run_with(seed, &mut check);
+            check.assert_clean(format!("{kind} seed {seed}"));
             thr += report.stats.throughput;
             miss += report.stats.pct_missed;
             dl += report.deadlocks;

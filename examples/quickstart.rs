@@ -5,6 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use monitor::CheckSink;
 use rtlock::prelude::*;
 
 fn main() {
@@ -29,7 +30,10 @@ fn main() {
         .io_per_object(SimDuration::from_ticks(500))
         .build();
 
-    let report = Simulator::new(config, catalog, &workload).run(42);
+    // The online oracle watches the run's event stream: conflict
+    // serialisability, ceiling properties, lock legality, accounting.
+    let mut check = CheckSink::new(config.check_config());
+    let report = Simulator::new(config, catalog, &workload).run_with(42, &mut check);
 
     println!("protocol          : priority ceiling (the paper's `C`)");
     println!("processed         : {}", report.stats.processed);
@@ -56,8 +60,9 @@ fn main() {
         report.deadlocks
     );
 
-    // The committed history is conflict serialisable — verify it.
-    check_conflict_serializable(report.monitor.history()).expect("history must be serialisable");
+    // The run was conflict serialisable and every committed write landed
+    // exactly once — verify both.
+    check.assert_clean("quickstart");
     check_store_integrity(&report);
     println!("serialisability   : verified");
 }

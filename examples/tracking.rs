@@ -10,6 +10,7 @@
 //! cargo run --release --example tracking
 //! ```
 
+use monitor::CheckSink;
 use rtdb::ObjectId;
 use rtlock::distributed::{CeilingArchitecture, DistributedConfig, DistributedSimulator};
 use rtlock::prelude::*;
@@ -58,7 +59,8 @@ fn main() {
         .apply_cost(SimDuration::from_ticks(100))
         .build();
 
-    let report = DistributedSimulator::new(config, catalog, &workload).run(7);
+    let mut check = CheckSink::new(config.check_config(sites));
+    let report = DistributedSimulator::new(config, catalog, &workload).run_with(7, &mut check);
 
     println!("tracking scenario : 3 stations, periodic track updates + queries");
     println!("processed         : {}", report.stats.processed);
@@ -82,6 +84,6 @@ fn main() {
             .count();
         println!("station {i}        : {lagging} tracks differ from station 0");
     }
-    check_conflict_serializable(report.monitor.history()).expect("history must be serialisable");
+    check.assert_clean("tracking");
     println!("serialisability   : verified");
 }

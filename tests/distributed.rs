@@ -2,6 +2,7 @@
 //! per-copy serialisability, two-phase-commit atomicity, and the
 //! paper's qualitative global-versus-local ordering.
 
+use monitor::CheckSink;
 use rtlock::distributed::{
     run_transactions_distributed, CeilingArchitecture, DistributedConfig, DistributedSimulator,
 };
@@ -35,14 +36,11 @@ fn workload(read_only: f64) -> WorkloadSpec {
 fn local_architecture_converges_all_replicas() {
     let cat = catalog();
     for seed in 0..3 {
-        let report = DistributedSimulator::new(
-            config(CeilingArchitecture::LocalReplicated, 400),
-            cat.clone(),
-            &workload(0.4),
-        )
-        .run(seed);
-        check_conflict_serializable(report.monitor.history())
-            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let cfg = config(CeilingArchitecture::LocalReplicated, 400);
+        let mut check = CheckSink::new(cfg.check_config(cat.site_count()));
+        let report =
+            DistributedSimulator::new(cfg, cat.clone(), &workload(0.4)).run_with(seed, &mut check);
+        check.assert_clean(format!("seed {seed}"));
         // Once propagation drains, every replica of every object holds the
         // primary's version (single-writer ordering guarantees no splits).
         let primary_of = |o: ObjectId| cat.primary_site(o);
@@ -65,19 +63,27 @@ fn local_architecture_converges_all_replicas() {
 #[test]
 fn local_writes_happen_only_at_primaries() {
     let cat = catalog();
+    let mut stream = VecSink::new();
     let report = DistributedSimulator::new(
         config(CeilingArchitecture::LocalReplicated, 300),
         cat.clone(),
         &workload(0.0),
     )
-    .run(9);
-    for op in report.monitor.history().operations() {
-        if op.kind == rtdb::OpKind::Write && !op.txn.is_system() {
-            assert_eq!(
-                cat.primary_site(op.object),
-                op.site,
-                "workload write to a non-primary copy"
-            );
+    .run_with(9, &mut stream);
+    for (_, ev) in stream.events() {
+        if let SimEventKind::LockGranted {
+            txn,
+            object,
+            mode: LockMode::Write,
+        } = ev.kind
+        {
+            if !txn.is_system() {
+                assert_eq!(
+                    cat.primary_site(object),
+                    ev.site,
+                    "workload write to a non-primary copy"
+                );
+            }
         }
     }
     assert!(report.stats.committed > 0);
@@ -87,16 +93,13 @@ fn local_writes_happen_only_at_primaries() {
 fn global_architecture_is_serialisable_and_atomic() {
     let cat = catalog();
     for delay in [0u64, 250, 750] {
-        let report = DistributedSimulator::new(
-            config(CeilingArchitecture::GlobalManager, delay),
-            cat.clone(),
-            &workload(0.5),
-        )
-        .run(4);
-        check_conflict_serializable(report.monitor.history())
-            .unwrap_or_else(|e| panic!("delay {delay}: {e}"));
-        // 2PC atomicity: every object's version equals the committed
-        // writes recorded against it at its primary site.
+        let cfg = config(CeilingArchitecture::GlobalManager, delay);
+        let mut check = CheckSink::new(cfg.check_config(cat.site_count()));
+        let report =
+            DistributedSimulator::new(cfg, cat.clone(), &workload(0.5)).run_with(4, &mut check);
+        check.assert_clean(format!("delay {delay}"));
+        // 2PC atomicity: every object's version at its primary equals
+        // the writes the coordinators committed to it.
         check_store_integrity(&report);
         assert!(
             report.stats.processed == 200,

@@ -2,9 +2,18 @@
 //! does not evaluate: timestamp ordering, network topologies, bounded
 //! I/O parallelism, and temporally consistent multiversion reads.
 
+use monitor::CheckSink;
 use netsim::Topology;
 use rtlock::distributed::{CeilingArchitecture, DistributedConfig, DistributedSimulator};
 use rtlock::prelude::*;
+
+/// Runs `sim` on `seed` under the online oracle and asserts it is clean.
+fn run_checked(sim: &Simulator, config: SingleSiteConfig, seed: u64) -> RunReport {
+    let mut check = CheckSink::new(config.check_config());
+    let report = sim.run_with(seed, &mut check);
+    check.assert_clean(format!("{} seed {seed}", config.protocol));
+    report
+}
 
 // ---- timestamp ordering -------------------------------------------------
 
@@ -24,9 +33,11 @@ fn timestamp_ordering_is_serializable_and_never_blocks() {
         .io_per_object(SimDuration::from_ticks(500))
         .build();
     for seed in 0..4 {
-        let report = Simulator::new(config, catalog.clone(), &workload).run(seed);
-        check_conflict_serializable(report.monitor.history())
-            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let report = run_checked(
+            &Simulator::new(config, catalog.clone(), &workload),
+            config,
+            seed,
+        );
         check_store_integrity(&report);
         assert_eq!(report.stats.processed, 250);
         // T/O resolves conflicts by restart, not by blocking: blocked time
@@ -51,9 +62,8 @@ fn timestamp_ordering_restarts_on_conflict() {
         .cpu_per_object(SimDuration::from_ticks(1_000))
         .io_per_object(SimDuration::from_ticks(500))
         .build();
-    let report = Simulator::new(config, catalog, &workload).run(2);
+    let report = run_checked(&Simulator::new(config, catalog, &workload), config, 2);
     assert!(report.stats.restarts > 0, "conflicts must trigger restarts");
-    check_conflict_serializable(report.monitor.history()).expect("serialisable");
 }
 
 // ---- topology ------------------------------------------------------------
@@ -106,7 +116,12 @@ fn bounded_io_parallelism_degrades_two_phase_locking() {
         .cpu_per_object(SimDuration::from_ticks(1_000))
         .io_per_object(SimDuration::from_ticks(2_000));
     let parallel = Simulator::new(base.clone().build(), catalog.clone(), &workload).run(1);
-    let single_disk = Simulator::new(base.io_parallelism(1).build(), catalog, &workload).run(1);
+    let single_disk_config = base.io_parallelism(1).build();
+    let single_disk = run_checked(
+        &Simulator::new(single_disk_config, catalog, &workload),
+        single_disk_config,
+        1,
+    );
     // One disk at 2000 ticks per fetch cannot carry 8 objects per 12000
     // ticks once transactions overlap; misses must rise.
     assert!(
@@ -115,7 +130,6 @@ fn bounded_io_parallelism_degrades_two_phase_locking() {
         single_disk.stats.missed,
         parallel.stats.missed
     );
-    check_conflict_serializable(single_disk.monitor.history()).expect("serialisable");
 }
 
 // ---- temporal consistency --------------------------------------------------
@@ -213,13 +227,16 @@ fn coarse_granularity_serialises_more_but_stays_correct() {
             .io_per_object(SimDuration::from_ticks(500))
             .lock_granularity(granularity)
             .build();
-        Simulator::new(config, catalog.clone(), &workload).run(3)
+        run_checked(
+            &Simulator::new(config, catalog.clone(), &workload),
+            config,
+            3,
+        )
     };
     let fine = run(1);
     let coarse = run(10);
-    // Correctness is granularity-independent.
+    // Correctness is granularity-independent (both runs were checked).
     for report in [&fine, &coarse] {
-        check_conflict_serializable(report.monitor.history()).expect("serialisable");
         check_store_integrity(report);
         assert_eq!(report.stats.processed, 200);
     }
@@ -250,7 +267,6 @@ fn single_granule_database_is_fully_serial() {
         .io_per_object(SimDuration::from_ticks(500))
         .lock_granularity(20)
         .build();
-    let report = Simulator::new(config, catalog, &workload).run(1);
+    let report = run_checked(&Simulator::new(config, catalog, &workload), config, 1);
     assert_eq!(report.deadlocks, 0, "one lock cannot deadlock");
-    check_conflict_serializable(report.monitor.history()).expect("serialisable");
 }

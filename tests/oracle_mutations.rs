@@ -9,7 +9,7 @@
 //! one must fire exactly the invariant class the mutation breaks, with
 //! the offending event subsequence attached as evidence.
 
-use monitor::{CheckConfig, CheckSink, SimEvent, SimEventKind, Violation};
+use monitor::{AbortReason, CheckConfig, CheckSink, SimEvent, SimEventKind, Violation};
 use rtdb::{LockMode, SiteId, TxnId};
 use rtlock::distributed::CeilingArchitecture;
 use rtlock::ProtocolKind;
@@ -291,4 +291,77 @@ fn stale_version_install_fires_replica_version() {
     );
     let violations = replay(config, &stream);
     assert_fires(&violations, "replica-version");
+}
+
+#[test]
+fn decided_late_commit_in_a_cycle_fires_serializability() {
+    let (mut stream, config) = record(twopc_spec(), 0);
+    let committed = |txn: TxnId, stream: &Stream| {
+        stream
+            .iter()
+            .position(|(_, e)| e.kind == SimEventKind::TxnCommitted { txn })
+    };
+    // A grant to T2 of an object T1 wrote before it (edge T1 -> T2), both
+    // committed through two-phase commit.
+    let mut last_writer = std::collections::HashMap::new();
+    let (t1, t2, site, object) = stream
+        .iter()
+        .find_map(|(_, ev)| match ev.kind {
+            SimEventKind::LockGranted { txn, object, mode } => {
+                let prev = match mode {
+                    LockMode::Write => last_writer.insert((ev.site, object), txn),
+                    LockMode::Read => last_writer.get(&(ev.site, object)).copied(),
+                };
+                prev.filter(|&t1| {
+                    t1 != txn
+                        && committed(t1, &stream).is_some()
+                        && committed(txn, &stream).is_some()
+                })
+                .map(|t1| (t1, txn, ev.site, object))
+            }
+            _ => None,
+        })
+        .expect("an all-update global run orders two committed writers");
+    // T1's deadline passes after its commit decision: its writes stand.
+    let idx = committed(t1, &stream).expect("found above");
+    stream[idx].1.kind = SimEventKind::TxnAborted {
+        txn: t1,
+        reason: AbortReason::DeadlineMissed,
+    };
+    let decided_late = replay(config, &stream);
+    assert!(
+        decided_late.is_empty(),
+        "a decided-late commit alone is legal: {decided_late:#?}"
+    );
+    // T2 also wrote the object before T1 touched it: T2 -> T1 closes a
+    // cycle through the decided-late commit.
+    let at = stream[0].0;
+    stream.splice(
+        0..0,
+        [
+            (
+                at,
+                SimEvent::new(
+                    site,
+                    SimEventKind::LockGranted {
+                        txn: t2,
+                        object,
+                        mode: LockMode::Write,
+                    },
+                ),
+            ),
+            (
+                at,
+                SimEvent::new(site, SimEventKind::LockReleased { txn: t2, object }),
+            ),
+        ],
+    );
+    let violations = replay(config, &stream);
+    assert_fires(&violations, "conflict-serializability");
+    assert!(
+        violations
+            .iter()
+            .all(|v| v.invariant == "conflict-serializability"),
+        "{violations:#?}"
+    );
 }

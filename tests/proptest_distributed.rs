@@ -1,10 +1,15 @@
 //! Property-based whole-simulation tests of the distributed
-//! architectures: random scenarios must stay per-copy serialisable,
+//! architectures: random scenarios must pass the online oracle (per-copy
+//! serialisability among its checks),
 //! converge their replicas (local architecture), apply writes atomically
 //! (global architecture), and replay deterministically.
 
+use monitor::CheckSink;
 use proptest::prelude::*;
-use rtlock::distributed::{run_transactions_distributed, CeilingArchitecture, DistributedConfig};
+use rtlock::distributed::{
+    run_transactions_distributed, run_transactions_distributed_with, CeilingArchitecture,
+    DistributedConfig,
+};
 use rtlock::prelude::*;
 
 const SITES: u8 = 3;
@@ -79,7 +84,7 @@ fn config(arch: CeilingArchitecture, delay: u64) -> DistributedConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Both architectures: per-copy serialisability, full processing, and
+    /// Both architectures: a clean oracle run, full processing, and
     /// deterministic replay on every random scenario.
     #[test]
     fn distributed_scenarios_are_serializable_and_deterministic(
@@ -90,13 +95,15 @@ proptest! {
             CeilingArchitecture::LocalReplicated,
             CeilingArchitecture::GlobalManager,
         ] {
-            let a = run_transactions_distributed(
-                config(arch, scenario.delay),
+            let cfg = config(arch, scenario.delay);
+            let mut check = CheckSink::new(cfg.check_config(SITES));
+            let a = run_transactions_distributed_with(
+                cfg,
                 &catalog,
                 scenario.txns.clone(),
+                &mut check,
             );
-            check_conflict_serializable(a.monitor.history())
-                .map_err(|e| TestCaseError::fail(format!("{arch:?}: {e}")))?;
+            check.assert_clean(format!("{arch:?}"));
             prop_assert_eq!(a.stats.processed as usize, scenario.txns.len());
             let b = run_transactions_distributed(
                 config(arch, scenario.delay),
@@ -114,10 +121,12 @@ proptest! {
     #[test]
     fn local_replicas_converge(scenario in scenario_strategy()) {
         let catalog = Catalog::new(DB, SITES, Placement::FullyReplicated);
-        let report = run_transactions_distributed(
+        let mut stream = VecSink::new();
+        let report = run_transactions_distributed_with(
             config(CeilingArchitecture::LocalReplicated, scenario.delay),
             &catalog,
             scenario.txns.clone(),
+            &mut stream,
         );
         for (id, _) in report.stores[0].iter() {
             let primary = catalog.primary_site(id);
@@ -128,23 +137,30 @@ proptest! {
                 prop_assert_eq!(replica.value, truth.value);
             }
         }
-        for op in report.monitor.history().operations() {
-            if op.kind == rtdb::OpKind::Write && !op.txn.is_system() {
-                prop_assert_eq!(catalog.primary_site(op.object), op.site);
+        for (_, ev) in stream.events() {
+            if let SimEventKind::LockGranted { txn, object, mode: LockMode::Write } = ev.kind {
+                if !txn.is_system() {
+                    prop_assert_eq!(catalog.primary_site(object), ev.site);
+                }
             }
         }
     }
 
-    /// Global architecture: store versions equal committed write counts
-    /// at each primary (2PC writes are all-or-nothing).
+    /// Global architecture: the oracle's two-phase-commit invariants hold,
+    /// and store versions equal the writes the coordinators committed at
+    /// each primary (2PC writes are all-or-nothing).
     #[test]
     fn global_writes_are_atomic(scenario in scenario_strategy()) {
         let catalog = Catalog::new(DB, SITES, Placement::FullyReplicated);
-        let report = run_transactions_distributed(
-            config(CeilingArchitecture::GlobalManager, scenario.delay),
+        let cfg = config(CeilingArchitecture::GlobalManager, scenario.delay);
+        let mut check = CheckSink::new(cfg.check_config(SITES));
+        let report = run_transactions_distributed_with(
+            cfg,
             &catalog,
             scenario.txns.clone(),
+            &mut check,
         );
+        check.assert_clean("global");
         check_store_integrity(&report);
     }
 }

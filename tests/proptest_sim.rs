@@ -2,6 +2,7 @@
 //! must stay serialisable, value-consistent and deterministic under every
 //! protocol.
 
+use monitor::CheckSink;
 use proptest::prelude::*;
 use rtlock::prelude::*;
 
@@ -63,7 +64,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Every protocol, on every random scenario: the run drains, the
-    /// history is conflict serialisable, the store matches the committed
+    /// online oracle finds nothing, the store matches the committed
     /// writes, and identical inputs give identical outputs.
     #[test]
     fn random_scenarios_are_serializable_and_deterministic(
@@ -72,9 +73,14 @@ proptest! {
     ) {
         let catalog = Catalog::new(8, 1, Placement::SingleSite);
         for kind in ProtocolKind::all() {
-            let a = run_transactions(config(kind, restart), &catalog, scenario.txns.clone());
-            check_conflict_serializable(a.monitor.history())
-                .map_err(|e| TestCaseError::fail(format!("{kind}: {e}")))?;
+            let mut check = CheckSink::new(config(kind, restart).check_config());
+            let a = run_transactions_with(
+                config(kind, restart),
+                &catalog,
+                scenario.txns.clone(),
+                &mut check,
+            );
+            check.assert_clean(kind);
             check_store_integrity(&a);
             prop_assert_eq!(
                 a.stats.processed as usize,

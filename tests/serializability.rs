@@ -1,7 +1,8 @@
 //! Whole-simulation correctness: every protocol must produce conflict
-//! serialisable histories and value-consistent stores under heavy,
-//! conflicting load.
+//! serialisable histories (judged online by the oracle) and
+//! value-consistent stores under heavy, conflicting load.
 
+use monitor::CheckSink;
 use rtlock::prelude::*;
 
 fn heavy_workload(size: u32, read_only: f64) -> WorkloadSpec {
@@ -32,9 +33,9 @@ fn all_protocols_yield_serializable_histories_under_conflict() {
         for restart in [true, false] {
             let sim = Simulator::new(config(kind, restart), catalog.clone(), &workload);
             for seed in 0..3 {
-                let report = sim.run(seed);
-                check_conflict_serializable(report.monitor.history())
-                    .unwrap_or_else(|e| panic!("{kind} restart={restart} seed={seed}: {e}"));
+                let mut check = CheckSink::new(config(kind, restart).check_config());
+                let report = sim.run_with(seed, &mut check);
+                check.assert_clean(format!("{kind} restart={restart} seed={seed}"));
                 check_store_integrity(&report);
                 assert_eq!(report.stats.processed, 250, "{kind} lost transactions");
             }
@@ -48,8 +49,9 @@ fn runs_are_bit_deterministic() {
     let workload = heavy_workload(10, 0.3);
     for kind in ProtocolKind::all() {
         let sim = Simulator::new(config(kind, true), catalog.clone(), &workload);
-        let a = sim.run(99);
-        let b = sim.run(99);
+        let (mut stream_a, mut stream_b) = (VecSink::new(), VecSink::new());
+        let a = sim.run_with(99, &mut stream_a);
+        let b = sim.run_with(99, &mut stream_b);
         assert_eq!(
             a.stats, b.stats,
             "{kind} stats differ across identical runs"
@@ -59,9 +61,9 @@ fn runs_are_bit_deterministic() {
         assert_eq!(a.preemptions, b.preemptions);
         assert_eq!(a.stores, b.stores, "{kind} stores differ");
         assert_eq!(
-            a.monitor.history().operations(),
-            b.monitor.history().operations(),
-            "{kind} histories differ"
+            stream_a.events(),
+            stream_b.events(),
+            "{kind} event streams differ"
         );
     }
 }
@@ -75,11 +77,12 @@ fn different_seeds_differ() {
         catalog,
         &workload,
     );
-    let a = sim.run(1);
-    let b = sim.run(2);
+    let (mut a, mut b) = (VecSink::new(), VecSink::new());
+    sim.run_with(1, &mut a);
+    sim.run_with(2, &mut b);
     assert_ne!(
-        a.monitor.history().operations(),
-        b.monitor.history().operations(),
+        a.events(),
+        b.events(),
         "distinct seeds should explore distinct schedules"
     );
 }
@@ -106,7 +109,7 @@ fn read_only_workload_never_blocks_under_rw_ceiling() {
 }
 
 #[test]
-fn aborted_transactions_leave_no_trace_in_history_or_store() {
+fn aborted_transactions_leave_no_trace_in_store() {
     let catalog = Catalog::new(30, 1, Placement::SingleSite);
     // One transaction that cannot meet its deadline.
     let txns = vec![TxnSpec::new(
@@ -119,6 +122,6 @@ fn aborted_transactions_leave_no_trace_in_history_or_store() {
     )];
     let report = run_transactions(config(ProtocolKind::PriorityCeiling, true), &catalog, txns);
     assert_eq!(report.stats.missed, 1);
-    assert!(report.monitor.history().is_empty());
+    assert!(report.committed_writes[0].iter().all(|&w| w == 0));
     assert!(report.stores[0].iter().all(|(_, o)| o.version == 0));
 }

@@ -5,10 +5,9 @@
 //! the three reader classes, both distributed architectures with and
 //! without versioned reads, and a lossy crash/restart fault plan) is
 //! reduced to one line: the event count and a hash of the full JSONL
-//! event stream, a hash of the per-transaction monitor records, a hash of
-//! the committed history, and the report counters. A reordered emit, a
-//! changed blocking record or a shifted operation stamp anywhere in the
-//! matrix changes the file.
+//! event stream, a hash of the per-transaction monitor records, and the
+//! report counters. A reordered emit or a changed blocking record
+//! anywhere in the matrix changes the file.
 //!
 //! Hashes are FNV-1a-64, whose output is fixed by definition (unlike
 //! `std`'s `DefaultHasher`). Regenerate the golden after an intentional
@@ -167,23 +166,6 @@ fn records_hash(report: &RunReport) -> u64 {
     h.0
 }
 
-/// Hash of the committed history, in recording order.
-fn history_hash(report: &RunReport) -> u64 {
-    let mut h = Fnv::new();
-    for op in report.monitor.history().operations() {
-        h.str(&format!(
-            "{} {} {:?} {} {} {}\n",
-            op.txn,
-            op.object,
-            op.kind,
-            op.at.ticks(),
-            op.seq,
-            op.site
-        ));
-    }
-    h.0
-}
-
 /// The report's counters, including the temporal measurements.
 fn counters(report: &RunReport) -> String {
     let s = &report.stats;
@@ -233,21 +215,19 @@ fn fingerprints() -> String {
             let mut stream = Fnv::new();
             stream.str(&monitor::jsonl::to_jsonl(sink.events()));
             let records = records_hash(&traced);
-            let history = history_hash(&traced);
             let untraced = report_with(&spec, NullSink);
             assert_eq!(
-                (records, history, counters(&traced)),
+                (records, &traced.committed_writes, counters(&traced)),
                 (
                     records_hash(&untraced),
-                    history_hash(&untraced),
+                    &untraced.committed_writes,
                     counters(&untraced)
                 ),
                 "{label} seed {seed}: the untraced run diverged from the traced run"
             );
             writeln!(
                 out,
-                "{label} seed={seed} events={} stream={:016x} records={records:016x} \
-                 history={history:016x} {}",
+                "{label} seed={seed} events={} stream={:016x} records={records:016x} {}",
                 sink.events().len(),
                 stream.0,
                 counters(&traced)
