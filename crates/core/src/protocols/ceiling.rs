@@ -23,14 +23,24 @@
 //! question in the paper's conclusion (can read semantics *hurt*?): it
 //! treats every lock as exclusive, making the rw-ceiling always equal to
 //! the absolute ceiling.
+//!
+//! Releases do not re-test every waiter from scratch. Each waiter keeps
+//! its gate-1 conflict set, updated as transactions enter and leave their
+//! locking phases, and gate 2 is one shield shared by all waiters: only
+//! entrants block, and an entrant holds no lock, so "objects locked by
+//! other transactions" is every locked object. A release then wakes the
+//! first waiter in wake order with no conflicts and a priority above the
+//! shield.
 
+use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
 use std::fmt;
 
 use monitor::SimEventKind;
 use rtdb::{InlineVec, LockMode, ObjectId, TxnId, TxnSpec};
 use starlite::{FxHashMap, Priority};
 
-use crate::protocols::inheritance::{diff_updates, effective_priorities_into};
+use crate::protocols::inheritance::{effective_priorities, Boosts};
 use crate::protocols::{
     LockProtocol, ReleaseReason, ReleaseResult, RequestOutcome, RequestResult, Wakeup,
 };
@@ -61,6 +71,42 @@ struct ActiveTxn {
     /// short-circuits most pairwise conflict tests in admission.
     read_sig: u64,
     write_sig: u64,
+    /// A request of this transaction waits in `blocked`.
+    waiting: bool,
+}
+
+impl ActiveTxn {
+    /// Whether the declared access sets of `self` and `other` conflict
+    /// under `semantics`.
+    fn conflicts_with(&self, other: &ActiveTxn, semantics: CeilingSemantics) -> bool {
+        let (a, b) = (self, other);
+        // Signature pre-filter: a zero intersection proves disjointness,
+        // so the exact scan below runs only for plausible conflicts.
+        let possible = match semantics {
+            CeilingSemantics::Exclusive => {
+                (a.read_sig | a.write_sig) & (b.read_sig | b.write_sig) != 0
+            }
+            CeilingSemantics::ReadWrite => {
+                ((a.write_sig & (b.read_sig | b.write_sig)) | (a.read_sig & b.write_sig)) != 0
+            }
+        };
+        if !possible {
+            return false;
+        }
+        match semantics {
+            CeilingSemantics::Exclusive => {
+                sorted_overlap(&a.writes, &b.writes)
+                    || sorted_overlap(&a.writes, &b.reads)
+                    || sorted_overlap(&a.reads, &b.writes)
+                    || sorted_overlap(&a.reads, &b.reads)
+            }
+            CeilingSemantics::ReadWrite => {
+                sorted_overlap(&a.writes, &b.writes)
+                    || sorted_overlap(&a.writes, &b.reads)
+                    || sorted_overlap(&a.reads, &b.writes)
+            }
+        }
+    }
 }
 
 /// Whether two ascending-sorted object lists share an element.
@@ -86,12 +132,32 @@ struct Locked {
     holders: InlineVec<TxnId, 2>,
 }
 
+/// A queued entrant. Only entrants block, and an entrant holds no lock.
 #[derive(Debug)]
 struct BlockedReq {
     txn: TxnId,
     object: ObjectId,
     mode: LockMode,
+    /// The waiter's base priority; `blocked` is kept in wake order,
+    /// (priority descending, seq).
+    priority: Priority,
     seq: u64,
+    /// Gate 1: the in-phase transactions whose declared sets conflict
+    /// with the waiter's, ascending. Kept exact as transactions enter and
+    /// leave their phases.
+    conflicts: InlineVec<TxnId, 4>,
+    /// The transactions the waiter is charged to for inheritance: its
+    /// conflicts or, with none, the shield's holders — as of the last
+    /// release or its own block, whichever came later.
+    blockers: Vec<TxnId>,
+}
+
+/// Gate 2: the locked object with the highest rw-ceiling, ties to the
+/// lowest id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Shield {
+    ceiling: Priority,
+    object: ObjectId,
 }
 
 /// Which admission gate denied a request — distinguishes an ordinary lock
@@ -113,27 +179,28 @@ pub struct PriorityCeilingProtocol {
     writers: FxHashMap<ObjectId, InlineVec<(TxnId, Priority), 4>>,
     accessors: FxHashMap<ObjectId, InlineVec<(TxnId, Priority), 4>>,
     locked: FxHashMap<ObjectId, Locked>,
+    /// The in-phase transactions (holding at least one lock) with their
+    /// locks in acquisition order.
     held_by: FxHashMap<TxnId, InlineVec<ObjectId, 8>>,
+    /// Waiting entrants in wake order.
     blocked: Vec<BlockedReq>,
-    blocked_edges: FxHashMap<TxnId, Vec<TxnId>>,
+    /// The gate-2 shield; current while `shield_stale` is false.
+    shield: Option<Shield>,
+    /// A lock, registration or ceiling changed since `shield` and the
+    /// waiters' `blockers` were computed. Only releases bring them up to
+    /// date: the journal charges inheritance to the blockers as of the
+    /// last release.
+    shield_stale: bool,
     base: FxHashMap<TxnId, Priority>,
-    effective: FxHashMap<TxnId, Priority>,
+    boosts: Boosts,
     next_seq: u64,
     ceiling_blocks: u64,
     trace: bool,
     journal: Vec<SimEventKind>,
-    /// `effective` currently differs from `base` for at least one
-    /// transaction. While false and no blocked-by edges exist, a
-    /// recompute is a provable no-op and is skipped.
-    boosted: bool,
-    /// Reusable buffers for [`Self::admission_check`] / [`Self::wake_pass`]
-    /// so the granted path allocates nothing.
+    /// Reusable buffers for [`Self::admission_check`] so the granted path
+    /// allocates nothing.
     scratch_txns: Vec<TxnId>,
     scratch_blockers: Vec<TxnId>,
-    scratch_order: Vec<usize>,
-    /// Holds the previous effective assignment between recomputes; its
-    /// allocation is recycled through [`diff_updates`]'s map swap.
-    scratch_eff: FxHashMap<TxnId, Priority>,
 }
 
 impl fmt::Debug for PriorityCeilingProtocol {
@@ -168,18 +235,16 @@ impl PriorityCeilingProtocol {
             locked: FxHashMap::default(),
             held_by: FxHashMap::default(),
             blocked: Vec::new(),
-            blocked_edges: FxHashMap::default(),
+            shield: None,
+            shield_stale: false,
             base: FxHashMap::default(),
-            effective: FxHashMap::default(),
+            boosts: Boosts::default(),
             next_seq: 0,
             ceiling_blocks: 0,
             trace: false,
             journal: Vec::new(),
-            boosted: false,
             scratch_txns: Vec::new(),
             scratch_blockers: Vec::new(),
-            scratch_order: Vec::new(),
-            scratch_eff: FxHashMap::default(),
         }
     }
 
@@ -212,7 +277,7 @@ impl PriorityCeilingProtocol {
     /// (which treats a double request as a protocol violation); the
     /// distributed manager re-acknowledges the pending state instead.
     pub fn is_blocked(&self, txn: TxnId) -> bool {
-        self.blocked.iter().any(|b| b.txn == txn)
+        self.active.get(&txn).is_some_and(|a| a.waiting)
     }
 
     /// Number of objects currently locked.
@@ -270,37 +335,6 @@ impl PriorityCeilingProtocol {
         self.held_by.get(&txn).is_some_and(|v| !v.is_empty())
     }
 
-    /// Whether the declared access sets of `a` and `b` conflict under
-    /// the protocol's lock semantics.
-    fn sets_conflict(&self, a: &ActiveTxn, b: &ActiveTxn) -> bool {
-        // Signature pre-filter: a zero intersection proves disjointness,
-        // so the exact scan below runs only for plausible conflicts.
-        let possible = match self.semantics {
-            CeilingSemantics::Exclusive => {
-                (a.read_sig | a.write_sig) & (b.read_sig | b.write_sig) != 0
-            }
-            CeilingSemantics::ReadWrite => {
-                ((a.write_sig & (b.read_sig | b.write_sig)) | (a.read_sig & b.write_sig)) != 0
-            }
-        };
-        if !possible {
-            return false;
-        }
-        match self.semantics {
-            CeilingSemantics::Exclusive => {
-                sorted_overlap(&a.writes, &b.writes)
-                    || sorted_overlap(&a.writes, &b.reads)
-                    || sorted_overlap(&a.reads, &b.writes)
-                    || sorted_overlap(&a.reads, &b.reads)
-            }
-            CeilingSemantics::ReadWrite => {
-                sorted_overlap(&a.writes, &b.writes)
-                    || sorted_overlap(&a.writes, &b.reads)
-                    || sorted_overlap(&a.reads, &b.writes)
-            }
-        }
-    }
-
     /// The admission test gating entry into the locking phase. A
     /// transaction may acquire its *first* lock iff
     ///
@@ -340,7 +374,8 @@ impl PriorityCeilingProtocol {
     }
 
     /// [`Self::admission_check`] with caller-provided scratch, usable from
-    /// `&self` contexts (the consistency oracle, the wake-pass refresh).
+    /// `&self` contexts. It tests from scratch, which makes it the
+    /// reference the consistency check holds the maintained wake state to.
     /// On denial, `blockers` holds the blocking transactions: the
     /// conflicting in-phase transactions sorted ascending (gate 1) or the
     /// holders of the highest-ceiling lock in acquisition order (gate 2).
@@ -363,7 +398,9 @@ impl PriorityCeilingProtocol {
             self.held_by
                 .iter()
                 .filter(|&(&t, objs)| {
-                    t != txn && !objs.is_empty() && self.sets_conflict(me, &self.active[&t])
+                    t != txn
+                        && !objs.is_empty()
+                        && me.conflicts_with(&self.active[&t], self.semantics)
                 })
                 .map(|(&t, _)| t),
         );
@@ -372,35 +409,53 @@ impl PriorityCeilingProtocol {
             blockers.extend_from_slice(phase_txns);
             return Err(DenialGate::SetConflict);
         }
-        // Gate 2: the ceiling shield over currently locked objects. The
-        // blocking lock is the max-ceiling one, ties to the lowest object
-        // id — an order-independent argmax, so no sorted scan is needed.
-        let p = self.base_priority(txn);
-        let mut max_key: Option<(Priority, std::cmp::Reverse<ObjectId>)> = None;
-        let mut blocking_obj: Option<ObjectId> = None;
-        for (&obj, lock) in &self.locked {
-            if !lock.holders.iter().any(|&t| t != txn) {
-                continue;
-            }
-            let key = (self.rw_ceiling(obj, lock.mode), std::cmp::Reverse(obj));
-            if max_key.is_none_or(|k| key > k) {
-                max_key = Some(key);
-                blocking_obj = Some(obj);
-            }
-        }
-        match (blocking_obj, max_key) {
-            (None, _) => Ok(()),
-            (Some(_), Some((max_ceil, _))) if p > max_ceil => Ok(()),
-            (Some(obj), _) => {
-                blockers.extend(
-                    self.locked[&obj]
-                        .holders
-                        .iter()
-                        .copied()
-                        .filter(|&t| t != txn),
-                );
+        // Gate 2: the ceiling shield. `txn` is not in its phase, so it
+        // holds no lock, and "objects locked by other transactions" is
+        // every locked object.
+        match self.scan_shield() {
+            Some(s) if self.base_priority(txn) <= s.ceiling => {
+                blockers.extend_from_slice(&self.locked[&s.object].holders);
                 Err(DenialGate::Ceiling)
             }
+            _ => Ok(()),
+        }
+    }
+
+    /// The shield computed from scratch over every locked object: the
+    /// max-ceiling lock, ties to the lowest object id — an
+    /// order-independent argmax, so no sorted scan is needed.
+    fn scan_shield(&self) -> Option<Shield> {
+        self.locked
+            .iter()
+            .map(|(&obj, lock)| (self.rw_ceiling(obj, lock.mode), Reverse(obj)))
+            .max()
+            .map(|(ceiling, Reverse(object))| Shield { ceiling, object })
+    }
+
+    fn refresh_shield(&mut self) {
+        if self.shield_stale {
+            self.shield = self.scan_shield();
+            self.shield_stale = false;
+        }
+    }
+
+    /// `txn` took its first lock: it now keeps out every waiter whose
+    /// declared sets conflict with its own.
+    fn enter_phase(&mut self, txn: TxnId) {
+        let me = &self.active[&txn];
+        for w in &mut self.blocked {
+            if self.active[&w.txn].conflicts_with(me, self.semantics) {
+                let at = w.conflicts.partition_point(|&t| t < txn);
+                w.conflicts.push(txn);
+                w.conflicts[at..].rotate_right(1);
+            }
+        }
+    }
+
+    /// `txn` released its locks: it keeps no waiter out any more.
+    fn leave_phase(&mut self, txn: TxnId) {
+        for w in &mut self.blocked {
+            w.conflicts.retain(|&t| t != txn);
         }
     }
 
@@ -426,7 +481,6 @@ impl PriorityCeilingProtocol {
                 let mut holders = InlineVec::new();
                 holders.push(txn);
                 self.locked.insert(obj, Locked { mode, holders });
-                self.held_by.entry(txn).or_default().push(obj);
                 true
             }
             Some(lock) => {
@@ -439,6 +493,7 @@ impl PriorityCeilingProtocol {
                             "upgrade of a shared read lock must have been denied"
                         );
                         lock.mode = LockMode::Write;
+                        self.shield_stale = true;
                     }
                     if self.trace {
                         if upgrade {
@@ -465,10 +520,17 @@ impl PriorityCeilingProtocol {
                     "ceiling admission granted a conflicting lock on {obj}"
                 );
                 lock.holders.push(txn);
-                self.held_by.entry(txn).or_default().push(obj);
                 false
             }
         };
+        self.shield_stale = true;
+        match self.held_by.entry(txn) {
+            Entry::Occupied(mut objs) => objs.get_mut().push(obj),
+            Entry::Vacant(slot) => {
+                slot.insert(InlineVec::new()).push(obj);
+                self.enter_phase(txn);
+            }
+        }
         if self.trace {
             self.journal.push(SimEventKind::LockGranted {
                 txn,
@@ -486,19 +548,16 @@ impl PriorityCeilingProtocol {
         }
     }
 
-    /// Recomputes inheritance from the blocked-by edges.
+    /// Recomputes inheritance from the waiters' blockers.
     fn recompute(&mut self) -> Vec<(TxnId, Priority)> {
-        // With no edges and no boost in force, `effective` already equals
-        // `base` (register/deregister keep them in sync), so the fixpoint
-        // and diff would produce nothing: skip the O(active) clone.
-        if self.blocked_edges.is_empty() && !self.boosted {
+        if self.blocked.is_empty() && self.boosts.is_empty() {
             return Vec::new();
         }
         // Empty unless the fixpoint sees an unregistered waiter, so this
         // never allocates on the hot path.
         let mut anomalies: Vec<TxnId> = Vec::new();
-        let mut eff = std::mem::take(&mut self.scratch_eff);
-        effective_priorities_into(&self.base, &self.blocked_edges, &mut anomalies, &mut eff);
+        let edges = self.blocked.iter().map(|w| (w.txn, w.blockers.as_slice()));
+        let updates = self.boosts.update(&self.base, edges, &mut anomalies);
         if self.trace {
             self.journal.extend(
                 anomalies
@@ -509,9 +568,6 @@ impl PriorityCeilingProtocol {
                     }),
             );
         }
-        self.boosted = eff.iter().any(|(t, p)| self.base.get(t) != Some(p));
-        let updates = diff_updates(&mut self.effective, &mut eff);
-        self.scratch_eff = eff;
         updates
     }
 
@@ -528,32 +584,31 @@ impl PriorityCeilingProtocol {
     }
 
     /// Wakes every blocked request that now passes admission, most urgent
-    /// first; each grant can change ceilings, so the scan restarts.
+    /// first; each grant can change the shield and the conflict sets, so
+    /// the search restarts after it. Then brings every remaining waiter's
+    /// blockers up to date.
     fn wake_pass(&mut self, wakeups: &mut Vec<Wakeup>) {
+        if self.blocked.is_empty() {
+            return;
+        }
         loop {
-            if self.blocked.is_empty() {
-                return;
-            }
-            // Order: base priority descending, then FIFO.
-            let mut order = std::mem::take(&mut self.scratch_order);
-            order.clear();
-            order.extend(0..self.blocked.len());
-            order.sort_by_key(|&i| {
-                let b = &self.blocked[i];
-                (std::cmp::Reverse(self.base_priority(b.txn)), b.seq)
-            });
-            let mut granted_idx: Option<usize> = None;
-            for &blocked_idx in &order {
-                let txn = self.blocked[blocked_idx].txn;
-                if self.admission_check(txn).is_ok() {
-                    granted_idx = Some(blocked_idx);
-                    break;
-                }
-            }
-            self.scratch_order = order;
-            let Some(i) = granted_idx else { break };
+            self.refresh_shield();
+            // Wake order is priority descending, so once a waiter is at or
+            // below the shield's ceiling every later one is too.
+            let ceiling = self.shield.map(|s| s.ceiling);
+            let Some(i) = self
+                .blocked
+                .iter()
+                .take_while(|w| ceiling.is_none_or(|c| w.priority > c))
+                .position(|w| w.conflicts.is_empty())
+            else {
+                break;
+            };
             let req = self.blocked.remove(i);
-            self.blocked_edges.remove(&req.txn);
+            self.active
+                .get_mut(&req.txn)
+                .expect("waiters are registered")
+                .waiting = false;
             self.grant(req.txn, req.object, req.mode);
             wakeups.push(Wakeup {
                 txn: req.txn,
@@ -561,19 +616,23 @@ impl PriorityCeilingProtocol {
                 mode: req.mode,
             });
         }
-        // Refresh blocker sets of the requests that stay blocked: the
-        // highest-ceiling lock may have changed hands. Each waiter's edge
-        // vector is pulled out, refilled in place, and reinserted.
-        for i in 0..self.blocked.len() {
-            let txn = self.blocked[i].txn;
-            let mut edges = self.blocked_edges.remove(&txn).unwrap_or_default();
-            let mut phase_txns = std::mem::take(&mut self.scratch_txns);
-            let denied = self
-                .admission_check_into(txn, &mut phase_txns, &mut edges)
-                .is_err();
-            self.scratch_txns = phase_txns;
-            assert!(denied, "wake pass left an admissible request blocked");
-            self.blocked_edges.insert(txn, edges);
+        let holders: &[TxnId] = match self.shield {
+            Some(s) => &self.locked[&s.object].holders,
+            None => &[],
+        };
+        for w in &mut self.blocked {
+            debug_assert!(
+                !self.held_by.contains_key(&w.txn),
+                "waiter {} in phase",
+                w.txn
+            );
+            let now: &[TxnId] = if w.conflicts.is_empty() {
+                holders
+            } else {
+                &w.conflicts
+            };
+            w.blockers.clear();
+            w.blockers.extend_from_slice(now);
         }
     }
 
@@ -581,6 +640,7 @@ impl PriorityCeilingProtocol {
         let Some(info) = self.active.remove(&txn) else {
             return;
         };
+        self.shield_stale = true;
         for &obj in &info.writes {
             if let Some(v) = self.writers.get_mut(&obj) {
                 v.retain(|&(t, _)| t != txn);
@@ -624,11 +684,11 @@ impl LockProtocol for PriorityCeilingProtocol {
                 writes,
                 read_sig,
                 write_sig,
+                waiting: false,
             },
         );
         assert!(prev.is_none(), "{} registered twice", spec.id);
         self.base.insert(spec.id, p);
-        self.effective.insert(spec.id, p);
         for &obj in &spec.write_set {
             self.writers.entry(obj).or_default().push((spec.id, p));
             self.accessors.entry(obj).or_default().push((spec.id, p));
@@ -636,6 +696,7 @@ impl LockProtocol for PriorityCeilingProtocol {
         for &obj in &spec.read_set {
             self.accessors.entry(obj).or_default().push((spec.id, p));
         }
+        self.shield_stale = true;
     }
 
     fn request(&mut self, txn: TxnId, object: ObjectId, mode: LockMode) -> RequestResult {
@@ -652,7 +713,7 @@ impl LockProtocol for PriorityCeilingProtocol {
             return RequestResult::granted();
         }
         assert!(
-            !self.blocked.iter().any(|b| b.txn == txn),
+            !self.is_blocked(txn),
             "{txn} requested a lock while already blocked"
         );
         match self.admission_check(txn) {
@@ -664,12 +725,6 @@ impl LockProtocol for PriorityCeilingProtocol {
                 self.ceiling_blocks += 1;
                 let seq = self.next_seq;
                 self.next_seq += 1;
-                self.blocked.push(BlockedReq {
-                    txn,
-                    object,
-                    mode,
-                    seq,
-                });
                 let blockers = std::mem::take(&mut self.scratch_blockers);
                 // Charge the block to the least urgent holder of the
                 // ceiling lock — the lower-priority transaction the
@@ -693,7 +748,28 @@ impl LockProtocol for PriorityCeilingProtocol {
                         },
                     });
                 }
-                self.blocked_edges.insert(txn, blockers);
+                let mut conflicts = InlineVec::new();
+                if gate == DenialGate::SetConflict {
+                    conflicts.extend_from_slice(&blockers);
+                }
+                let priority = self.base_priority(txn);
+                let at = self.blocked.partition_point(|b| b.priority >= priority);
+                self.blocked.insert(
+                    at,
+                    BlockedReq {
+                        txn,
+                        object,
+                        mode,
+                        priority,
+                        seq,
+                        conflicts,
+                        blockers,
+                    },
+                );
+                self.active
+                    .get_mut(&txn)
+                    .expect("admission tested a registered transaction")
+                    .waiting = true;
                 let priority_updates = self.recompute();
                 self.journal_priority_updates(&priority_updates);
                 RequestResult {
@@ -720,17 +796,21 @@ impl LockProtocol for PriorityCeilingProtocol {
                         .push(SimEventKind::LockReleased { txn, object: obj });
                 }
             }
+            self.shield_stale = true;
+            self.leave_phase(txn);
         }
         // Drop a pending blocked request (deadline abort while blocked).
-        self.blocked.retain(|b| b.txn != txn);
-        self.blocked_edges.remove(&txn);
+        if let Some(info) = self.active.get_mut(&txn) {
+            if std::mem::take(&mut info.waiting) {
+                self.blocked.retain(|b| b.txn != txn);
+            }
+        }
 
         if reason == ReleaseReason::Finished {
             // Leaving the active set lowers ceilings, which can admit
             // further waiters below.
             self.remove_ceiling_contribution(txn);
             self.base.remove(&txn);
-            self.effective.remove(&txn);
         }
 
         let mut wakeups = Vec::new();
@@ -744,9 +824,8 @@ impl LockProtocol for PriorityCeilingProtocol {
     }
 
     fn effective_priority(&self, txn: TxnId) -> Priority {
-        self.effective
-            .get(&txn)
-            .copied()
+        self.boosts
+            .effective(&self.base, txn)
             .unwrap_or_else(|| panic!("{txn} not registered"))
     }
 
@@ -758,7 +837,7 @@ impl LockProtocol for PriorityCeilingProtocol {
     }
 
     fn is_blocked(&self, txn: TxnId) -> bool {
-        self.blocked.iter().any(|b| b.txn == txn)
+        PriorityCeilingProtocol::is_blocked(self, txn)
     }
 
     fn name(&self) -> &'static str {
@@ -781,6 +860,11 @@ impl LockProtocol for PriorityCeilingProtocol {
     }
 
     fn assert_consistent(&self) {
+        // Besides the lock table, this holds the state releases maintain
+        // to a from-scratch recomputation: each waiter's gate-1 set and
+        // (while current) the shield and its blockers against
+        // `admission_check_into`, the wake order, and the effective
+        // priorities against `effective_priorities` over the blockers.
         for (obj, lock) in &self.locked {
             assert!(!lock.holders.is_empty(), "{obj} locked with no holders");
             if lock.mode == LockMode::Write {
@@ -793,27 +877,70 @@ impl LockProtocol for PriorityCeilingProtocol {
                 );
             }
         }
-        for b in &self.blocked {
-            assert!(self.active.contains_key(&b.txn), "blocked txn not active");
-            assert!(
-                self.admission_check_into(b.txn, &mut Vec::new(), &mut Vec::new())
-                    .is_err(),
-                "{} blocked but admissible",
-                b.txn
+        let current = !self.shield_stale;
+        if current {
+            assert_eq!(
+                self.shield,
+                self.scan_shield(),
+                "shield differs from a rescan"
             );
         }
-        for (&t, &e) in &self.effective {
-            assert!(e >= self.base[&t], "{t} effective below base");
+        for pair in self.blocked.windows(2) {
+            assert!(
+                (Reverse(pair[0].priority), pair[0].seq) < (Reverse(pair[1].priority), pair[1].seq),
+                "{} queued before {} out of wake order",
+                pair[0].txn,
+                pair[1].txn
+            );
+        }
+        assert_eq!(
+            self.active.values().filter(|a| a.waiting).count(),
+            self.blocked.len(),
+            "waiting flags disagree with the queue"
+        );
+        let mut edges: FxHashMap<TxnId, Vec<TxnId>> = FxHashMap::default();
+        let mut blockers = Vec::new();
+        for b in &self.blocked {
+            assert!(self.is_blocked(b.txn), "blocked txn not active");
+            assert_eq!(
+                b.priority, self.base[&b.txn],
+                "{} queued at a stale priority",
+                b.txn
+            );
+            assert!(!self.in_phase(b.txn), "waiter {} holds a lock", b.txn);
+            let gate = self
+                .admission_check_into(b.txn, &mut Vec::new(), &mut blockers)
+                .expect_err("blocked but admissible");
+            let conflicts: &[TxnId] = match gate {
+                DenialGate::SetConflict => &blockers,
+                DenialGate::Ceiling => &[],
+            };
+            assert_eq!(
+                &b.conflicts[..],
+                conflicts,
+                "{} gate-1 set differs from a rescan",
+                b.txn
+            );
+            if current {
+                assert_eq!(
+                    b.blockers, blockers,
+                    "{} blockers differ from a rescan",
+                    b.txn
+                );
+            }
+            edges.insert(b.txn, b.blockers.clone());
         }
         // Inheritance operates on registered transactions only: every
         // waiter and every blocker in the edge set must have a base
         // priority (effective_priorities relies on this).
-        for (w, blockers) in &self.blocked_edges {
+        for (w, blockers) in &edges {
             assert!(self.base.contains_key(w), "waiter {w} unregistered");
             for b in blockers {
                 assert!(self.base.contains_key(b), "blocker {b} unregistered");
             }
         }
+        let reference = effective_priorities(&self.base, &edges, &mut Vec::new());
+        self.boosts.assert_matches(&self.base, &reference);
     }
 }
 
@@ -1003,6 +1130,219 @@ mod tests {
         assert_eq!(
             p.request(TxnId(1), ObjectId(0), LockMode::Read).outcome,
             RequestOutcome::Granted
+        );
+        p.assert_consistent();
+    }
+
+    fn prio(deadline: u64) -> Priority {
+        Priority::earliest_deadline_first(SimTime::from_ticks(deadline))
+    }
+
+    fn write(p: &mut PriorityCeilingProtocol, txn: u64, obj: u32) -> RequestOutcome {
+        p.request(TxnId(txn), ObjectId(obj), LockMode::Write)
+            .outcome
+    }
+
+    fn drained(p: &mut PriorityCeilingProtocol) -> Vec<SimEventKind> {
+        let mut out = Vec::new();
+        p.drain_events(&mut out);
+        out
+    }
+
+    #[test]
+    fn one_release_admits_the_most_urgent_admissible_of_many_waiters() {
+        // H holds O0, whose ceiling is the idle T100's priority, so it
+        // shields 24 entrants W11..W34, each after a private object. W10,
+        // the most urgent waiter, is held at gate 1 instead: it shares the
+        // declared O31 with X, which is in its phase on O30.
+        let mut p = PriorityCeilingProtocol::read_write();
+        p.register(&spec(100, 10, vec![], vec![0]));
+        p.register(&spec(1, 10_000, vec![], vec![0])); // H
+        p.register(&spec(2, 20_000, vec![], vec![30, 31])); // X
+        assert_eq!(write(&mut p, 2, 30), RequestOutcome::Granted);
+        assert_eq!(write(&mut p, 1, 0), RequestOutcome::Granted);
+        p.register(&spec(10, 100, vec![], vec![31, 101])); // W10
+        for i in 1..=24u64 {
+            p.register(&spec(10 + i, 100 + 10 * i, vec![], vec![100 + i as u32]));
+        }
+        assert_eq!(
+            write(&mut p, 10, 101),
+            RequestOutcome::Blocked {
+                blocker: Some(TxnId(2))
+            }
+        );
+        for i in 1..=24u64 {
+            assert_eq!(
+                write(&mut p, 10 + i, 100 + i as u32),
+                RequestOutcome::Blocked {
+                    blocker: Some(TxnId(1))
+                }
+            );
+        }
+        assert_eq!(p.effective_priority(TxnId(1)), prio(110));
+        assert_eq!(p.effective_priority(TxnId(2)), prio(100));
+        p.assert_consistent();
+
+        p.set_tracing(true);
+        let rel = p.release_all(TxnId(1), ReleaseReason::Finished);
+        // W11 is the most urgent admissible waiter: O101 is free and X's
+        // O30 shields only below X's priority. Its lock on O101 (declared
+        // by W10 too) then shields every other entrant, and W10 now waits
+        // for W11 as well as X, so W11 inherits W10's priority.
+        assert_eq!(
+            rel.wakeups,
+            vec![Wakeup {
+                txn: TxnId(11),
+                object: ObjectId(101),
+                mode: LockMode::Write,
+            }]
+        );
+        assert_eq!(rel.priority_updates, vec![(TxnId(11), prio(100))]);
+        assert_eq!(
+            drained(&mut p),
+            vec![
+                SimEventKind::LockReleased {
+                    txn: TxnId(1),
+                    object: ObjectId(0),
+                },
+                SimEventKind::LockGranted {
+                    txn: TxnId(11),
+                    object: ObjectId(101),
+                    mode: LockMode::Write,
+                },
+                SimEventKind::CeilingRaised {
+                    txn: TxnId(11),
+                    object: ObjectId(101),
+                    ceiling: prio(100),
+                },
+                SimEventKind::PriorityInherited {
+                    txn: TxnId(11),
+                    priority: prio(100),
+                },
+            ]
+        );
+        assert!(p.is_blocked(TxnId(10)));
+        for i in 2..=24u64 {
+            assert!(p.is_blocked(TxnId(10 + i)), "W{}", 10 + i);
+        }
+        assert_eq!(p.effective_priority(TxnId(2)), prio(100));
+        p.assert_consistent();
+
+        // The next release hands O101's shield down the line: W12 is
+        // admitted and nobody's inherited priority changes.
+        let rel = p.release_all(TxnId(11), ReleaseReason::Finished);
+        assert_eq!(
+            rel.wakeups.iter().map(|w| w.txn).collect::<Vec<_>>(),
+            vec![TxnId(12)]
+        );
+        assert!(rel.priority_updates.is_empty());
+        p.assert_consistent();
+    }
+
+    #[test]
+    fn registration_that_raises_the_shield_moves_the_waiters_blockers() {
+        let mut p = PriorityCeilingProtocol::read_write();
+        p.register(&spec(1, 1_000, vec![], vec![0])); // A
+        p.register(&spec(2, 2_000, vec![], vec![1])); // B
+        p.register(&spec(3, 100, vec![], vec![0])); // C: raises O0's ceiling
+        p.register(&spec(4, 5_000, vec![], vec![9])); // D: idle bystander
+        p.register(&spec(5, 500, vec![], vec![5])); // E: the entrant
+        assert_eq!(write(&mut p, 2, 1), RequestOutcome::Granted);
+        assert_eq!(write(&mut p, 1, 0), RequestOutcome::Granted);
+        assert_eq!(
+            write(&mut p, 5, 5),
+            RequestOutcome::Blocked {
+                blocker: Some(TxnId(1))
+            }
+        );
+        assert_eq!(p.effective_priority(TxnId(1)), prio(500));
+        // A release that changes nothing leaves E charged to A.
+        let rel = p.release_all(TxnId(4), ReleaseReason::Restart);
+        assert_eq!(rel, ReleaseResult::default());
+        // N writes O1: B's lock now has the highest ceiling and shields E.
+        p.register(&spec(6, 50, vec![], vec![1]));
+        p.assert_consistent();
+        p.set_tracing(true);
+        // A release that frees no lock and lowers no ceiling still
+        // refreshes E's blockers, moving the inherited priority to B.
+        let rel = p.release_all(TxnId(4), ReleaseReason::Restart);
+        assert!(rel.wakeups.is_empty());
+        assert_eq!(
+            rel.priority_updates,
+            vec![(TxnId(1), prio(1_000)), (TxnId(2), prio(500))]
+        );
+        assert_eq!(
+            drained(&mut p),
+            vec![
+                SimEventKind::PriorityInherited {
+                    txn: TxnId(1),
+                    priority: prio(1_000),
+                },
+                SimEventKind::PriorityInherited {
+                    txn: TxnId(2),
+                    priority: prio(500),
+                },
+            ]
+        );
+        assert!(p.is_blocked(TxnId(5)));
+        p.assert_consistent();
+    }
+
+    #[test]
+    fn restart_of_the_only_gate_one_conflictor_admits_the_waiter() {
+        let mut p = PriorityCeilingProtocol::read_write();
+        p.register(&spec(1, 900, vec![], vec![0, 1])); // X
+        p.register(&spec(2, 100, vec![], vec![1])); // W
+        assert_eq!(write(&mut p, 1, 0), RequestOutcome::Granted);
+        assert_eq!(
+            write(&mut p, 2, 1),
+            RequestOutcome::Blocked {
+                blocker: Some(TxnId(1))
+            }
+        );
+        assert_eq!(p.effective_priority(TxnId(1)), prio(100));
+        p.set_tracing(true);
+        let rel = p.release_all(TxnId(1), ReleaseReason::Restart);
+        assert_eq!(
+            rel.wakeups,
+            vec![Wakeup {
+                txn: TxnId(2),
+                object: ObjectId(1),
+                mode: LockMode::Write,
+            }]
+        );
+        assert_eq!(rel.priority_updates, vec![(TxnId(1), prio(900))]);
+        assert_eq!(
+            drained(&mut p),
+            vec![
+                SimEventKind::LockReleased {
+                    txn: TxnId(1),
+                    object: ObjectId(0),
+                },
+                SimEventKind::LockGranted {
+                    txn: TxnId(2),
+                    object: ObjectId(1),
+                    mode: LockMode::Write,
+                },
+                SimEventKind::CeilingRaised {
+                    txn: TxnId(2),
+                    object: ObjectId(1),
+                    ceiling: prio(100),
+                },
+                SimEventKind::PriorityInherited {
+                    txn: TxnId(1),
+                    priority: prio(900),
+                },
+            ]
+        );
+        assert!(!p.is_blocked(TxnId(2)));
+        // The restarted X stays registered and is now the entrant kept
+        // out by W's phase.
+        assert_eq!(
+            write(&mut p, 1, 0),
+            RequestOutcome::Blocked {
+                blocker: Some(TxnId(2))
+            }
         );
         p.assert_consistent();
     }

@@ -18,7 +18,7 @@ use rtdb::{
 use starlite::{FxHashMap, Priority};
 
 use crate::config::VictimPolicy;
-use crate::protocols::inheritance::{diff_updates, effective_priorities_into};
+use crate::protocols::inheritance::{effective_priorities, Boosts};
 use crate::protocols::tpl::select_victim;
 use crate::protocols::{
     LockProtocol, ReleaseReason, ReleaseResult, RequestOutcome, RequestResult, Wakeup,
@@ -30,14 +30,14 @@ pub struct InheritanceProtocol {
     wfg: WaitsForGraph,
     victim_policy: VictimPolicy,
     base: FxHashMap<TxnId, Priority>,
-    effective: FxHashMap<TxnId, Priority>,
+    boosts: Boosts,
     deadlocks: u64,
-    /// Scratch buffers reused by the inheritance fixpoint and waits-for
-    /// graph refresh, both of which run on every block and release.
+    /// Scratch buffers reused by the waits-for graph refresh, which runs
+    /// on every release.
     scratch_waiters: Vec<TxnId>,
     scratch_blockers: Vec<TxnId>,
-    scratch_edges: FxHashMap<TxnId, Vec<TxnId>>,
-    scratch_eff: FxHashMap<TxnId, Priority>,
+    /// The blocked-by edges of the last inheritance recompute.
+    edges: FxHashMap<TxnId, Vec<TxnId>>,
     trace: bool,
     journal: Vec<SimEventKind>,
     scratch_lock_events: Vec<LockEvent>,
@@ -60,12 +60,11 @@ impl InheritanceProtocol {
             wfg: WaitsForGraph::new(),
             victim_policy,
             base: FxHashMap::default(),
-            effective: FxHashMap::default(),
+            boosts: Boosts::default(),
             deadlocks: 0,
             scratch_waiters: Vec::new(),
             scratch_blockers: Vec::new(),
-            scratch_edges: FxHashMap::default(),
-            scratch_eff: FxHashMap::default(),
+            edges: FxHashMap::default(),
             trace: false,
             journal: Vec::new(),
             scratch_lock_events: Vec::new(),
@@ -99,17 +98,16 @@ impl InheritanceProtocol {
     /// changes. Also refreshes waiter priorities inside the lock table so
     /// queue positions follow inherited urgency.
     fn recompute(&mut self) -> Vec<(TxnId, Priority)> {
-        let mut blocked_by = std::mem::take(&mut self.scratch_edges);
-        blocked_by.clear();
+        self.edges.clear();
         self.table.waiters_into(&mut self.scratch_waiters);
         for &t in &self.scratch_waiters {
-            blocked_by.insert(t, self.table.current_blockers(t));
+            self.edges.insert(t, self.table.current_blockers(t));
         }
         // Empty unless the fixpoint sees an unregistered waiter, so this
         // never allocates on the hot path.
         let mut anomalies: Vec<TxnId> = Vec::new();
-        let mut eff = std::mem::take(&mut self.scratch_eff);
-        effective_priorities_into(&self.base, &blocked_by, &mut anomalies, &mut eff);
+        let edges = self.edges.iter().map(|(&w, b)| (w, b.as_slice()));
+        let updates = self.boosts.update(&self.base, edges, &mut anomalies);
         if self.trace {
             self.journal.extend(
                 anomalies
@@ -120,9 +118,6 @@ impl InheritanceProtocol {
                     }),
             );
         }
-        let updates = diff_updates(&mut self.effective, &mut eff);
-        self.scratch_eff = eff;
-        self.scratch_edges = blocked_by;
         for &(txn, priority) in &updates {
             self.table.update_waiter_priority(txn, priority);
         }
@@ -144,7 +139,6 @@ impl LockProtocol for InheritanceProtocol {
         let p = spec.base_priority();
         let prev = self.base.insert(spec.id, p);
         assert!(prev.is_none(), "{} registered twice", spec.id);
-        self.effective.insert(spec.id, p);
     }
 
     fn request(&mut self, txn: TxnId, object: ObjectId, mode: LockMode) -> RequestResult {
@@ -198,7 +192,6 @@ impl LockProtocol for InheritanceProtocol {
         self.refresh_wfg();
         if reason == ReleaseReason::Finished {
             self.base.remove(&txn);
-            self.effective.remove(&txn);
         }
         let priority_updates = self.recompute();
         self.journal_priority_updates(&priority_updates);
@@ -209,9 +202,8 @@ impl LockProtocol for InheritanceProtocol {
     }
 
     fn effective_priority(&self, txn: TxnId) -> Priority {
-        self.effective
-            .get(&txn)
-            .copied()
+        self.boosts
+            .effective(&self.base, txn)
             .unwrap_or_else(|| panic!("{txn} not registered"))
     }
 
@@ -236,10 +228,8 @@ impl LockProtocol for InheritanceProtocol {
 
     fn assert_consistent(&self) {
         self.table.check_invariants();
-        for (&t, &e) in &self.effective {
-            let b = self.base.get(&t).copied().expect("effective without base");
-            assert!(e >= b, "{t} effective priority below base");
-        }
+        let reference = effective_priorities(&self.base, &self.edges, &mut Vec::new());
+        self.boosts.assert_matches(&self.base, &reference);
     }
 
     fn set_tracing(&mut self, on: bool) {

@@ -2,9 +2,12 @@
 //!
 //! Both the basic inheritance protocol and the priority ceiling protocol
 //! execute a blocking transaction "at the highest priority of all the
-//! transactions blocked by" it, transitively. This module computes the
-//! effective-priority fixpoint from the *blocked-by* relation and diffs it
-//! against the previous assignment so callers emit only actual changes.
+//! transactions blocked by" it, transitively. Only a transaction on a
+//! *blocked-by* edge can run above its base priority, so [`Boosts`] keeps
+//! just those transactions and recomputes them from the edges alone: a
+//! recompute costs O(edges + previously boosted), not O(active).
+//! [`effective_priorities`] is the whole-population definition the
+//! consistency checks compare against.
 
 use rtdb::TxnId;
 use starlite::{FxHashMap, Priority};
@@ -27,27 +30,12 @@ use starlite::{FxHashMap, Priority};
 /// turns it into a `protocol-anomaly` violation). Blockers missing from
 /// `base` are merely skipped: edge refreshes already prune departed
 /// holders, and a stale blocker has nobody left to boost.
-#[cfg_attr(not(test), allow(dead_code))]
 pub(crate) fn effective_priorities(
     base: &FxHashMap<TxnId, Priority>,
     blocked_by: &FxHashMap<TxnId, Vec<TxnId>>,
     anomalies: &mut Vec<TxnId>,
 ) -> FxHashMap<TxnId, Priority> {
-    let mut eff = FxHashMap::default();
-    effective_priorities_into(base, blocked_by, anomalies, &mut eff);
-    eff
-}
-
-/// [`effective_priorities`] into a caller-owned map, so recomputes on the
-/// hot path reuse one allocation instead of cloning `base` every call.
-pub(crate) fn effective_priorities_into(
-    base: &FxHashMap<TxnId, Priority>,
-    blocked_by: &FxHashMap<TxnId, Vec<TxnId>>,
-    anomalies: &mut Vec<TxnId>,
-    eff: &mut FxHashMap<TxnId, Priority>,
-) {
-    eff.clear();
-    eff.extend(base.iter().map(|(&t, &p)| (t, p)));
+    let mut eff = base.clone();
     // Fixpoint: propagate waiter priorities through blockers. Chains are
     // short (the ceiling protocol bounds them at one), so this converges
     // in a couple of passes.
@@ -72,30 +60,116 @@ pub(crate) fn effective_priorities_into(
             }
         }
         if !changed {
-            return;
+            return eff;
         }
         first_pass = false;
     }
 }
 
-/// Diffs a new effective assignment against the previous one, returning
-/// `(txn, new_priority)` for every transaction whose priority changed.
-/// The maps are swapped — `previous` receives the new assignment and
-/// `new` the old one (free to clear and reuse for the next recompute).
-pub(crate) fn diff_updates(
-    previous: &mut FxHashMap<TxnId, Priority>,
-    new: &mut FxHashMap<TxnId, Priority>,
-) -> Vec<(TxnId, Priority)> {
-    let mut updates: Vec<(TxnId, Priority)> = Vec::new();
-    for (&txn, &p) in new.iter() {
-        if previous.get(&txn) != Some(&p) {
-            updates.push((txn, p));
+/// The registered transactions that run above their base priority, with
+/// their effective priorities — [`effective_priorities`] restricted to
+/// the transactions it raises, maintained across recomputes.
+#[derive(Debug, Default)]
+pub(crate) struct Boosts {
+    current: FxHashMap<TxnId, Priority>,
+    /// The assignment being computed; swapped with `current` so both
+    /// allocations are reused.
+    next: FxHashMap<TxnId, Priority>,
+}
+
+impl Boosts {
+    /// `txn`'s effective priority, or `None` if it is not registered.
+    pub(crate) fn effective(
+        &self,
+        base: &FxHashMap<TxnId, Priority>,
+        txn: TxnId,
+    ) -> Option<Priority> {
+        let &b = base.get(&txn)?;
+        Some(self.current.get(&txn).copied().unwrap_or(b))
+    }
+
+    /// Whether every registered transaction runs at its base priority.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.current.is_empty()
+    }
+
+    /// Recomputes the boosts from the blocked-by `edges` (each waiter with
+    /// the transactions it waits for) and returns `(txn, new_priority)`
+    /// for every registered transaction whose effective priority changed,
+    /// sorted by id. Waiters missing from `base` are handled as in
+    /// [`effective_priorities`].
+    pub(crate) fn update<'e, I>(
+        &mut self,
+        base: &FxHashMap<TxnId, Priority>,
+        edges: I,
+        anomalies: &mut Vec<TxnId>,
+    ) -> Vec<(TxnId, Priority)>
+    where
+        I: Iterator<Item = (TxnId, &'e [TxnId])> + Clone,
+    {
+        let next = &mut self.next;
+        next.clear();
+        let mut first_pass = true;
+        loop {
+            let mut changed = false;
+            for (waiter, blockers) in edges.clone() {
+                let Some(&wb) = base.get(&waiter) else {
+                    if first_pass {
+                        anomalies.push(waiter);
+                    }
+                    debug_assert!(false, "waiter {waiter} in blocked_by but not registered");
+                    continue;
+                };
+                let wp = next.get(&waiter).copied().unwrap_or(wb);
+                for &b in blockers {
+                    let Some(&bb) = base.get(&b) else { continue };
+                    if next.get(&b).copied().unwrap_or(bb) < wp {
+                        next.insert(b, wp);
+                        changed = true;
+                    }
+                }
+            }
+            if !changed {
+                break;
+            }
+            first_pass = false;
+        }
+        let mut updates: Vec<(TxnId, Priority)> = next
+            .iter()
+            .filter(|&(t, p)| self.current.get(t) != Some(p))
+            .map(|(&t, &p)| (t, p))
+            .collect();
+        // Boosts that lapsed revert to base; deregistered transactions
+        // need no update.
+        updates.extend(
+            self.current
+                .keys()
+                .filter(|t| !next.contains_key(t))
+                .filter_map(|t| base.get(t).map(|&b| (*t, b))),
+        );
+        updates.sort_unstable_by_key(|&(t, _)| t);
+        std::mem::swap(&mut self.current, &mut self.next);
+        updates
+    }
+
+    /// Asserts the boosts equal `reference` (an [`effective_priorities`]
+    /// result over the same edges) on every transaction it raises.
+    pub(crate) fn assert_matches(
+        &self,
+        base: &FxHashMap<TxnId, Priority>,
+        reference: &FxHashMap<TxnId, Priority>,
+    ) {
+        for (&t, &p) in reference {
+            assert_eq!(
+                self.effective(base, t),
+                Some(p),
+                "{t} effective priority differs from the reference fixpoint"
+            );
+        }
+        for t in self.current.keys() {
+            assert!(base.contains_key(t), "boosted {t} is not registered");
         }
     }
-    // Transactions that vanished (deregistered) need no update events.
-    std::mem::swap(previous, new);
-    updates.sort_unstable_by_key(|&(t, _)| t);
-    updates
 }
 
 #[cfg(test)]
@@ -138,15 +212,61 @@ mod tests {
         assert_eq!(eff, b);
     }
 
+    fn edges(es: &[(u64, &[u64])]) -> Vec<(TxnId, Vec<TxnId>)> {
+        es.iter()
+            .map(|&(w, bs)| (TxnId(w), bs.iter().map(|&b| TxnId(b)).collect()))
+            .collect()
+    }
+
+    fn update(
+        boosts: &mut Boosts,
+        base: &FxHashMap<TxnId, Priority>,
+        es: &[(TxnId, Vec<TxnId>)],
+    ) -> Vec<(TxnId, Priority)> {
+        let it = es.iter().map(|(w, bs)| (*w, bs.as_slice()));
+        boosts.update(base, it, &mut Vec::new())
+    }
+
     #[test]
-    fn diff_reports_only_changes() {
-        let mut prev = base(&[(1, 10), (2, 1)]);
-        let mut new = base(&[(1, 10), (2, 7)]);
-        let ups = diff_updates(&mut prev, &mut new);
-        assert_eq!(ups, vec![(TxnId(2), Priority::new(7))]);
-        assert_eq!(prev[&TxnId(2)], Priority::new(7));
-        // The swap hands the caller the old assignment for reuse.
-        assert_eq!(new[&TxnId(2)], Priority::new(1));
+    fn boosts_report_only_changes() {
+        let b = base(&[(1, 10), (2, 1), (3, 5), (4, 2)]);
+        let mut boosts = Boosts::default();
+        let es = edges(&[(1, &[2]), (3, &[4])]);
+        assert_eq!(
+            update(&mut boosts, &b, &es),
+            vec![(TxnId(2), Priority::new(10)), (TxnId(4), Priority::new(5))]
+        );
+        // Same edges: nothing moves.
+        assert!(update(&mut boosts, &b, &es).is_empty());
+        // T3 stops waiting: T4 reverts to base, T2 keeps its boost.
+        let es = edges(&[(1, &[2])]);
+        assert_eq!(
+            update(&mut boosts, &b, &es),
+            vec![(TxnId(4), Priority::new(2))]
+        );
+        assert_eq!(boosts.effective(&b, TxnId(2)), Some(Priority::new(10)));
+        assert_eq!(boosts.effective(&b, TxnId(4)), Some(Priority::new(2)));
+        assert_eq!(boosts.effective(&b, TxnId(9)), None);
+    }
+
+    #[test]
+    fn boosts_drop_deregistered_transactions_silently() {
+        let mut b = base(&[(1, 10), (2, 1)]);
+        let mut boosts = Boosts::default();
+        update(&mut boosts, &b, &edges(&[(1, &[2])]));
+        b.remove(&TxnId(2));
+        assert!(update(&mut boosts, &b, &[]).is_empty());
+        assert!(boosts.is_empty());
+    }
+
+    #[test]
+    fn boosts_match_the_reference_fixpoint() {
+        let b = base(&[(1, 50), (2, 40), (3, 30), (4, 20), (5, 10), (6, 60)]);
+        let es = edges(&[(1, &[2]), (2, &[3, 5]), (3, &[4]), (4, &[5]), (6, &[9])]);
+        let mut boosts = Boosts::default();
+        update(&mut boosts, &b, &es);
+        let map: FxHashMap<TxnId, Vec<TxnId>> = es.into_iter().collect();
+        boosts.assert_matches(&b, &effective_priorities(&b, &map, &mut Vec::new()));
     }
 
     #[test]

@@ -91,6 +91,7 @@ fn drive(kind: ProtocolKind, ops: &[Op]) -> (Box<dyn LockProtocol>, WaitsForGrap
                     SiteId(0),
                 );
                 protocol.register(&spec);
+                protocol.assert_consistent();
                 registered.insert(id, spec);
                 progress.insert(id, 0);
             }

@@ -204,3 +204,113 @@ fn paper_example_ceiling_blocks_medium_transaction() {
         "T1 must finish before T2"
     );
 }
+
+#[test]
+fn maintained_admission_state_matches_a_rescan_after_every_call() {
+    // Drives the protocol engine directly with a conflict-heavy batch:
+    // arrivals interleave with lock steps, commits, deadline aborts of
+    // waiters and restarts of lock holders. After every call the state
+    // the engine maintains across releases — each waiter's conflict set,
+    // the ceiling shield, the waiters' blockers, the wake order and the
+    // inherited priorities — must equal a from-scratch recomputation.
+    use rtlock::protocols::{LockProtocol, PriorityCeilingProtocol, ReleaseReason, RequestOutcome};
+
+    let catalog = Catalog::new(40, 1, Placement::SingleSite);
+    let txns = workload::Generator::new(&conflict_heavy(12), &catalog).generate(7);
+    for mut p in [
+        PriorityCeilingProtocol::read_write(),
+        PriorityCeilingProtocol::exclusive(),
+    ] {
+        let mut arrivals = txns.iter();
+        // Live transactions with the index of their next access.
+        let mut live: Vec<(&TxnSpec, usize)> = Vec::new();
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng as usize
+        };
+        let mut calls = 0u32;
+        // Restarts, deadline aborts and wakeups seen, so the drive is
+        // known to reach each maintenance path.
+        let mut seen = [0u32; 3];
+        loop {
+            calls += 1;
+            assert!(calls < 200_000, "the batch failed to drain");
+            let (waiting, runnable): (Vec<usize>, Vec<usize>) =
+                (0..live.len()).partition(|&i| p.is_blocked(live[i].0.id));
+            let holding: Vec<usize> = runnable
+                .iter()
+                .copied()
+                .filter(|&i| live[i].1 > 0)
+                .collect();
+            let dice = match next() % 64 {
+                _ if live.is_empty() => 4,
+                _ if runnable.is_empty() => 1,
+                0 if holding.is_empty() => 16,
+                1..=3 if waiting.is_empty() => 16,
+                d => d,
+            };
+            let released = match dice {
+                0 => {
+                    // A lock holder restarts from its first access.
+                    let i = holding[next() % holding.len()];
+                    live[i].1 = 0;
+                    seen[0] += 1;
+                    Some(p.release_all(live[i].0.id, ReleaseReason::Restart))
+                }
+                1..=3 => {
+                    // A waiter's deadline fires.
+                    let i = waiting[next() % waiting.len()];
+                    let (spec, _) = live.swap_remove(i);
+                    seen[1] += 1;
+                    Some(p.release_all(spec.id, ReleaseReason::Finished))
+                }
+                4..=15 => {
+                    let Some(spec) = arrivals.next() else {
+                        if live.is_empty() {
+                            break;
+                        }
+                        continue;
+                    };
+                    p.register(spec);
+                    live.push((spec, 0));
+                    None
+                }
+                _ => {
+                    let i = runnable[next() % runnable.len()];
+                    let (spec, step) = live[i];
+                    match spec.access_sequence().get(step) {
+                        None => {
+                            live.swap_remove(i);
+                            Some(p.release_all(spec.id, ReleaseReason::Finished))
+                        }
+                        Some(&(object, mode)) => {
+                            let outcome = p.request(spec.id, object, mode).outcome;
+                            if outcome == RequestOutcome::Granted {
+                                live[i].1 += 1;
+                            }
+                            None
+                        }
+                    }
+                }
+            };
+            for w in released.map(|r| r.wakeups).unwrap_or_default() {
+                let entry = live
+                    .iter_mut()
+                    .find(|(s, _)| s.id == w.txn)
+                    .expect("woke a live transaction");
+                entry.1 += 1;
+                seen[2] += 1;
+            }
+            p.assert_consistent();
+        }
+        p.assert_idle();
+        assert!(
+            seen.iter().all(|&n| n > 0),
+            "restarts, aborts, wakeups: {seen:?}"
+        );
+        assert!(p.ceiling_block_count() > 0);
+    }
+}
